@@ -1,7 +1,7 @@
 //! Process-wide pool sharing.
 //!
 //! Every MPI rank calls `pmem.mmap(...)` independently (Fig. 3), yet ranks
-//! must share one allocator and one lock table per pool — in reality the
+//! must share one allocator and one metadata index per pool — in reality the
 //! kernel's shared mapping provides that; in the simulation the ranks are
 //! threads, so a process-wide registry interns one [`PmemPool`] +
 //! [`PersistentHashtable`] per device. Rank 0 creates (or recovers) the
@@ -19,7 +19,6 @@ use std::sync::{Arc, OnceLock, Weak};
 pub struct SharedPool {
     pub pool: Arc<PmemPool>,
     pub hashtable: Arc<PersistentHashtable>,
-    pub lock_registry: Arc<pmdk_sim::locks::LockRegistry>,
 }
 
 type Key = usize; // device address identity
@@ -76,7 +75,6 @@ pub fn shared_pool(
     let shared = SharedPool {
         pool,
         hashtable: Arc::new(hashtable),
-        lock_registry: Arc::new(pmdk_sim::locks::LockRegistry::default()),
     };
     let inner = Arc::new(SharedPoolInner {
         shared: shared.clone(),

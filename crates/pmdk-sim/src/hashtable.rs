@@ -521,7 +521,7 @@ impl PersistentHashtable {
     /// is a *write* heat map.
     fn lock_stripe(&self, id: usize) -> parking_lot::MutexGuard<'_, ()> {
         let machine = self.pool.device().machine();
-        if machine.metrics_enabled() {
+        if machine.metrics().is_some() {
             machine.metric_counter_add(&format!("stripe.{id:02}.acquires"), 1);
             if let Some(guard) = self.stripes[id].lock.try_lock() {
                 return guard;
@@ -692,7 +692,8 @@ impl PersistentHashtable {
         let end = start + chunk;
         let machine = self.pool.device().machine();
         let _phase = machine.phase_scope("ht.resize");
-        let t0 = machine.trace_start(clock);
+        let mut span = machine.span(clock, "pmdk", "ht.migrate");
+        span.set_arg("buckets", chunk);
 
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
@@ -794,7 +795,6 @@ impl PersistentHashtable {
         if entries_moved > 0 {
             machine.metric_counter_add("ht.entries_migrated", entries_moved);
         }
-        machine.trace_finish(clock, t0, "pmdk", "ht.migrate", Some(("buckets", chunk)));
         Ok(())
     }
 
@@ -820,19 +820,7 @@ impl PersistentHashtable {
         hash: u64,
     ) -> Option<(u64, u64, EntryHeader)> {
         let machine = self.pool.device().machine();
-        let t0 = machine.trace_start(clock);
-        let out = self.find_inner(clock, head_slot, key, hash);
-        machine.trace_finish(clock, t0, "pmdk", "ht.probe", None);
-        out
-    }
-
-    fn find_inner(
-        &self,
-        clock: &Clock,
-        head_slot: u64,
-        key: &[u8],
-        hash: u64,
-    ) -> Option<(u64, u64, EntryHeader)> {
+        let _span = machine.span(clock, "pmdk", "ht.probe");
         let mut slot = head_slot;
         let mut entry = self.pool.read_u64(clock, slot);
         let mut hops = 0u64;
@@ -851,10 +839,7 @@ impl PersistentHashtable {
             slot = entry + ENT_NEXT;
             entry = hdr.next;
         }
-        self.pool
-            .device()
-            .machine()
-            .metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
+        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
         out
     }
 
@@ -1296,7 +1281,7 @@ impl PersistentHashtable {
                 continue;
             }
             return self
-                .find_inner(clock, r.head_slot, key, hash)
+                .find(clock, r.head_slot, key, hash)
                 .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
         }
     }
@@ -1326,7 +1311,8 @@ impl PersistentHashtable {
             return Vec::new();
         }
         let machine = self.pool.device().machine();
-        let t0 = machine.trace_start(clock);
+        let mut span = machine.span(clock, "pmdk", "ht.probe");
+        span.set_arg("keys", pending.len() as u64);
         let mut pool_reads = 0u64;
         let mut retries = 0u32;
         let stale = loop {
@@ -1385,7 +1371,7 @@ impl PersistentHashtable {
                 for &i in &pending {
                     if g.route(hashes[i]) == route {
                         out[i] = self
-                            .find_inner(clock, route.head_slot, keys[i], hashes[i])
+                            .find(clock, route.head_slot, keys[i], hashes[i])
                             .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
                     } else {
                         diverged.push(i);
@@ -1394,13 +1380,6 @@ impl PersistentHashtable {
                 break diverged;
             }
         };
-        machine.trace_finish(
-            clock,
-            t0,
-            "pmdk",
-            "ht.probe",
-            Some(("keys", pending.len() as u64)),
-        );
         if pool_reads > 0 {
             machine.metric_counter_add("get.lookup.pool_reads", pool_reads);
         }
@@ -1517,14 +1496,14 @@ impl PersistentHashtable {
                     if self.geo().route(hash) != r {
                         continue;
                     }
-                    return self.find_inner(clock, r.head_slot, key, hash).map(
-                        |(_, entry, hdr)| {
+                    return self
+                        .find(clock, r.head_slot, key, hash)
+                        .map(|(_, entry, hdr)| {
                             let vref = value_ref_of(entry, &hdr);
                             let mut buf = vec![0u8; vref.len as usize];
                             self.pool.read_bytes(clock, vref.offset, &mut buf);
                             buf
-                        },
-                    );
+                        });
                 }
             }
         }

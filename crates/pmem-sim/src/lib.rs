@@ -8,9 +8,10 @@
 //! [`device::PmemDevice`] backed by host memory, while every operation also
 //! advances a per-rank virtual [`time::Clock`] according to the
 //! [`machine::Machine`] cost model. Shared resources (PMEM bandwidth, the
-//! DRAM bus, the fabric) are FCFS reservation [`server::Server`]s, which
-//! yields realistic contention, saturation and queueing without needing the
-//! paper's 24-core testbed.
+//! DRAM bus, the fabric) are split by a deterministic fluid-share model:
+//! each active rank streams at its per-core bound, capped by a fair share of
+//! the aggregate, which reproduces the paper's contention and saturation
+//! without needing its 24-core testbed.
 //!
 //! Layers above this crate:
 //! * `pmdk-sim` — PMDK-style pools, transactions, persistent data structures.
@@ -40,7 +41,6 @@ pub mod mmap;
 pub mod persistence;
 pub mod profile;
 pub mod rng;
-pub mod server;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -48,12 +48,11 @@ pub mod trace;
 pub use buffer::SharedBuffer;
 pub use device::{PersistenceMode, PmemDevice};
 pub use flight::{scan_ring, EventCode, FlightEvent, FlightRecorder};
-pub use machine::{Machine, MachineConfig};
+pub use machine::{Machine, MachineConfig, SpanGuard};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, PhaseScope};
 pub use mmap::DaxMapping;
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
-pub use server::{BandwidthServer, Server};
 pub use stats::{Stats, StatsSnapshot};
 pub use time::{atomic_section, in_atomic_section, AtomicSection, Clock, ClockGate, SimTime};
 pub use trace::{

@@ -18,7 +18,6 @@ use crate::metrics::{self, MetricsRegistry, PhaseScope};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::time::{Clock, SimTime};
 use crate::trace::{TraceSink, TraceSpan};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -214,7 +213,7 @@ impl Machine {
         self.active_ranks.load(Ordering::Relaxed)
     }
 
-    // ---- tracing ----
+    // ---- observability ----
 
     /// Install a trace sink. Returns `false` if one was already installed
     /// (the sink can only be set once per machine).
@@ -222,64 +221,10 @@ impl Machine {
         self.trace.set(sink).is_ok()
     }
 
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.get().is_some()
-    }
-
-    /// Begin a span on `clock`: returns the current virtual instant, or
-    /// `None` when tracing is disabled so callers skip all bookkeeping.
-    #[inline]
-    pub fn trace_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.trace.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Complete a span opened with [`Machine::trace_start`]. No-op when
-    /// tracing is disabled or `start` is `None`.
-    #[inline]
-    pub fn trace_finish(
-        &self,
-        clock: &Clock,
-        start: Option<SimTime>,
-        cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        arg: Option<(&'static str, u64)>,
-    ) {
-        let (Some(start), Some(sink)) = (start, self.trace.get()) else {
-            return;
-        };
-        let now = clock.now();
-        sink.record(TraceSpan {
-            cat,
-            name: name.into(),
-            lane: clock.lane(),
-            start,
-            dur: now.saturating_sub(start),
-            arg,
-        });
-    }
-
-    /// Record a fully-formed span (for callers that compute intervals
-    /// themselves). No-op when tracing is disabled.
-    pub fn trace_record(&self, span: TraceSpan) {
-        if let Some(sink) = self.trace.get() {
-            sink.record(span);
-        }
-    }
-
-    // ---- metrics ----
-
     /// Install a metrics registry. Returns `false` if one was already
     /// installed (the registry can only be set once per machine).
     pub fn set_metrics(&self, registry: Arc<MetricsRegistry>) -> bool {
         self.metrics.set(registry).is_ok()
-    }
-
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.get().is_some()
     }
 
     /// The installed registry, if any.
@@ -300,6 +245,30 @@ impl Machine {
         }
     }
 
+    /// Open a trace span `cat`/`name` on `clock`; it is recorded when the
+    /// guard drops, on every exit path. Inert when tracing is disabled.
+    #[inline]
+    pub fn span<'a>(
+        &'a self,
+        clock: &'a Clock,
+        cat: &'static str,
+        name: &'static str,
+    ) -> SpanGuard<'a> {
+        SpanGuard::open(self, clock, Feed::Span, cat, name, None)
+    }
+
+    /// [`Machine::span`] that also opens `name` as the phase label, so the
+    /// span and the phase cover the same interval by construction.
+    #[inline]
+    pub fn phase<'a>(
+        &'a self,
+        clock: &'a Clock,
+        cat: &'static str,
+        name: &'static str,
+    ) -> SpanGuard<'a> {
+        SpanGuard::open(self, clock, Feed::Phase, cat, name, None)
+    }
+
     /// Add to a named counter; no-op when metrics are disabled.
     #[inline]
     pub fn metric_counter_add(&self, name: &str, n: u64) {
@@ -318,71 +287,13 @@ impl Machine {
         }
     }
 
-    /// Begin measuring a wait (a clock jump not driven by a `charge_*`
-    /// primitive, e.g. a receiver synchronizing to a message's delivery
-    /// instant). Returns `None` when metrics are disabled.
-    #[inline]
-    pub fn metrics_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.metrics.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Attribute the time since [`Machine::metrics_start`] to `label`
-    /// (e.g. `"mpi.wait"`). Waits always keep their own label — they are
-    /// never folded into the surrounding phase scope — so reports can
-    /// separate load imbalance from attributed work.
-    #[inline]
-    pub fn metrics_wait(&self, clock: &Clock, t0: Option<SimTime>, label: &'static str) {
-        let (Some(t0), Some(m)) = (t0, self.metrics.get()) else {
-            return;
-        };
-        let dt = clock.now().saturating_sub(t0);
-        m.phase_add(clock.lane(), label, dt);
-        m.hist_record(label, dt);
-    }
-
-    /// Begin an observed interval: `Some(now)` when tracing *or* metrics
-    /// is enabled, `None` (all bookkeeping skipped) otherwise.
-    #[inline]
-    fn obs_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.trace.get().is_some() || self.metrics.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Close an observed interval opened with [`Machine::obs_start`]:
-    /// emits the "prim" trace span and attributes the virtual-time delta
-    /// to the innermost phase label (falling back to the primitive name).
-    /// Because every clock advance happens inside exactly one such
-    /// interval, per-lane phase totals tile the rank's timeline.
-    #[inline]
-    fn obs_finish(
-        &self,
-        clock: &Clock,
-        t0: Option<SimTime>,
-        name: &'static str,
-        arg: Option<(&'static str, u64)>,
-    ) {
-        let Some(t0) = t0 else {
-            return;
-        };
-        self.trace_finish(clock, Some(t0), "prim", name, arg);
-        if let Some(m) = self.metrics.get() {
-            let dt = clock.now().saturating_sub(t0);
-            m.phase_add(clock.lane(), metrics::current_phase().unwrap_or(name), dt);
-            m.hist_record(name, dt);
-        }
-    }
-
-    /// Close a primitive-level span (category "prim") with a byte argument.
-    #[inline]
-    fn prim_finish(&self, clock: &Clock, t0: Option<SimTime>, name: &'static str, bytes: u64) {
-        self.obs_finish(clock, t0, name, Some(("bytes", bytes)));
+    /// Wait on `clock` until `instant` (e.g. a receiver synchronizing to a
+    /// message's delivery). The jump is a wait, not work: metrics always
+    /// attribute it to `"mpi.wait"`, never to the surrounding phase, so
+    /// reports can separate load imbalance from attributed work.
+    pub fn wait_until(&self, clock: &Clock, instant: SimTime) {
+        let _wait = SpanGuard::open(self, clock, Feed::Wait, "", "mpi.wait", None);
+        clock.advance_to(instant);
     }
 
     /// Multiplier applied to CPU-bound work when more ranks than cores run.
@@ -423,58 +334,53 @@ impl Machine {
     /// falling back to `name`) and shows up in traces/histograms. Used by
     /// higher layers for DRAM index probes and seqlock retry penalties.
     pub fn charge_compute_labeled(&self, clock: &Clock, t: SimTime, name: &'static str) {
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, name, None);
         clock.advance(self.cpu_scaled(t));
-        self.obs_finish(clock, t0, name, None);
     }
 
     /// CPU cost of serializing `bytes` through a format with the given
     /// relative cost factor (1.0 = the machine's base rate).
     pub fn charge_serialize(&self, clock: &Clock, bytes: u64, format_factor: f64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, clock, "serialize", Some(("bytes", bytes)));
         let ns = self.config.serialize_ns_per_byte * format_factor * bytes as f64;
         self.charge_compute(clock, SimTime::from_secs_f64(ns / 1e9));
-        self.prim_finish(clock, t0, "serialize", bytes);
     }
 
     /// A DRAM→DRAM copy of `bytes`: bound by the copying core and by a fair
     /// share of the memory bus.
     pub fn charge_dram_copy(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, clock, "dram.copy", Some(("bytes", bytes)));
         self.stats
             .dram_bytes_copied
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.core_copy_bw, self.config.dram_bw);
         clock.advance(self.config.dram_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "dram.copy", bytes);
     }
 
     /// A store stream into PMEM media (the actual persist traffic): the rank
     /// streams at its attended per-core throughput, capped by its fair share
     /// of the device's aggregate write bandwidth.
     pub fn charge_pmem_write(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, clock, "pmem.write", Some(("bytes", bytes)));
         self.stats
             .pmem_bytes_written
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.pmem_write_core_bw, self.config.pmem_write_bw);
         clock.advance(self.config.pmem_write_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.write", bytes);
     }
 
     /// A load stream out of PMEM media (same two bounds as writes).
     pub fn charge_pmem_read(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, clock, "pmem.read", Some(("bytes", bytes)));
         self.stats
             .pmem_bytes_read
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.pmem_read_core_bw, self.config.pmem_read_bw);
         clock.advance(self.config.pmem_read_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.read", bytes);
     }
 
     /// Metadata store: like [`Machine::charge_pmem_write`] but *not*
@@ -482,32 +388,29 @@ impl Machine {
     /// headers, undo logs, hashtable entries) have fixed real sizes
     /// regardless of how large the modelled payload volume is.
     pub fn charge_pmem_write_meta(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "pmem.meta_write", Some(("bytes", bytes)));
         self.stats
             .pmem_bytes_written
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.pmem_write_core_bw, self.config.pmem_write_bw);
         clock.advance(self.config.pmem_write_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.meta_write", bytes);
     }
 
     /// Metadata load: unscaled counterpart of [`Machine::charge_pmem_read`].
     pub fn charge_pmem_read_meta(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "pmem.meta_read", Some(("bytes", bytes)));
         self.stats
             .pmem_bytes_read
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.pmem_read_core_bw, self.config.pmem_read_bw);
         clock.advance(self.config.pmem_read_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.meta_read", bytes);
     }
 
     /// One kernel crossing.
     pub fn charge_syscall(&self, clock: &Clock) {
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "syscall", None);
         self.stats.syscalls.fetch_add(1, Ordering::Relaxed);
         clock.advance(self.cpu_scaled(self.config.syscall));
-        self.obs_finish(clock, t0, "syscall", None);
     }
 
     /// `n` minor faults on a DAX mapping; with `map_sync` each dirty page
@@ -516,7 +419,7 @@ impl Machine {
         if n == 0 {
             return;
         }
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "page_fault", Some(("pages", n)));
         self.stats.page_faults.fetch_add(n, Ordering::Relaxed);
         let mut per_page = self.config.page_fault;
         if map_sync {
@@ -526,7 +429,6 @@ impl Machine {
             per_page += self.config.map_sync_page;
         }
         clock.advance(self.cpu_scaled(per_page * n));
-        self.obs_finish(clock, t0, "page_fault", Some(("pages", n)));
     }
 
     /// Fault accounting for a freshly-touched byte range of a DAX mapping:
@@ -548,12 +450,11 @@ impl Machine {
         if !self.config.needs_flush {
             return;
         }
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "flush", Some(("bytes", bytes)));
         self.stats.flush_calls.fetch_add(1, Ordering::Relaxed);
         let lines = self.scaled_bytes(bytes).div_ceil(self.config.cacheline);
         let t = self.config.flush_base + self.config.flush_per_line * lines;
         clock.advance(self.cpu_scaled(t));
-        self.prim_finish(clock, t0, "flush", bytes);
     }
 
     /// A streaming (non-temporal) persist of a byte range: one ntstore-style
@@ -564,45 +465,40 @@ impl Machine {
         if !self.config.needs_flush {
             return;
         }
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "ntstore", Some(("bytes", bytes)));
         self.stats.flush_calls.fetch_add(1, Ordering::Relaxed);
         let lines = self.scaled_bytes(bytes).div_ceil(self.config.cacheline);
         let t = self.config.ntstore_base + self.config.ntstore_per_line * lines;
         clock.advance(self.cpu_scaled(t));
-        self.prim_finish(clock, t0, "ntstore", bytes);
     }
 
     /// A store fence.
     pub fn charge_fence(&self, clock: &Clock) {
-        let t0 = self.obs_start(clock);
+        let _prim = SpanGuard::prim(self, clock, "fence", None);
         self.stats.fences.fetch_add(1, Ordering::Relaxed);
         clock.advance(self.cpu_scaled(self.config.fence));
-        self.obs_finish(clock, t0, "fence", None);
     }
 
     /// One message over the node fabric; returns the delivery instant so the
     /// receiver's clock can be synchronized by the caller.
     pub fn charge_message(&self, sender: &Clock, bytes: u64) -> SimTime {
-        let t0 = self.obs_start(sender);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, sender, "net.send", Some(("bytes", bytes)));
         self.stats.net_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.stats.net_messages.fetch_add(1, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.net_bw, self.config.net_bw);
-        let delivery = sender.advance(self.config.net_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(sender, t0, "net.send", bytes);
-        delivery
+        sender.advance(self.config.net_latency + SimTime::for_transfer(bytes, bw))
     }
 
     /// A write toward the burst-buffer / mass-storage tier.
     pub fn charge_storage_write(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
+        let _prim = SpanGuard::prim(self, clock, "storage.write", Some(("bytes", bytes)));
         self.stats
             .storage_bytes_written
             .fetch_add(bytes, Ordering::Relaxed);
         let bw = self.effective_bw(self.config.storage_bw, self.config.storage_bw);
         clock.advance(self.config.storage_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "storage.write", bytes);
     }
 
     /// Ideal busy time per shared resource (modelled bytes over aggregate
@@ -663,6 +559,139 @@ impl Machine {
                 return f(&next);
             }
             prev = next;
+        }
+    }
+}
+
+/// What a [`SpanGuard`] feeds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// A layer-boundary trace span.
+    Span,
+    /// A trace span whose name is also the phase label while it is open.
+    Phase,
+    /// A machine primitive: a "prim" span, plus the virtual-time delta
+    /// attributed to the innermost phase label (falling back to the
+    /// primitive's name) and one histogram sample under that name. Because
+    /// every clock advance happens inside exactly one primitive, per-lane
+    /// phase totals tile the rank's timeline.
+    Prim,
+    /// A wait: the delta attributed to the guard's own name, never folded
+    /// into the surrounding phase, plus a histogram sample. No span.
+    Wait,
+}
+
+/// The one instrumentation guard: opened on a clock, it reads the clock
+/// again when dropped and feeds the interval to the trace sink and/or the
+/// metrics registry. Closing on drop means every exit path — `?` included —
+/// records it, so spans and phases cannot disagree. It only *reads* clocks,
+/// so no guard can change a virtual-time result, and it is inert (no clock
+/// read, no thread-local traffic) when nothing it feeds is installed.
+/// Opened with [`Machine::span`] or [`Machine::phase`].
+#[must_use = "the span closes when this guard is dropped"]
+pub struct SpanGuard<'a>(Option<OpenSpan<'a>>);
+
+/// An observed [`SpanGuard`]; the unobserved guard is just `None`.
+struct OpenSpan<'a> {
+    machine: &'a Machine,
+    clock: &'a Clock,
+    start: SimTime,
+    feed: Feed,
+    cat: &'static str,
+    name: &'static str,
+    arg: Option<(&'static str, u64)>,
+    _phase: PhaseScope,
+}
+
+impl<'a> SpanGuard<'a> {
+    #[inline]
+    fn open(
+        machine: &'a Machine,
+        clock: &'a Clock,
+        feed: Feed,
+        cat: &'static str,
+        name: &'static str,
+        arg: Option<(&'static str, u64)>,
+    ) -> Self {
+        let traced = feed != Feed::Wait && machine.trace.get().is_some();
+        let metered = feed != Feed::Span && machine.metrics.get().is_some();
+        if !(traced || metered) {
+            return SpanGuard(None);
+        }
+        Self::observed(machine, clock, feed, cat, name, arg, metered)
+    }
+
+    /// Out of line so the unobserved path builds nothing but `None`.
+    #[cold]
+    fn observed(
+        machine: &'a Machine,
+        clock: &'a Clock,
+        feed: Feed,
+        cat: &'static str,
+        name: &'static str,
+        arg: Option<(&'static str, u64)>,
+        metered: bool,
+    ) -> Self {
+        SpanGuard(Some(OpenSpan {
+            machine,
+            clock,
+            start: clock.now(),
+            feed,
+            cat,
+            name,
+            arg,
+            _phase: if feed == Feed::Phase && metered {
+                PhaseScope::push(name)
+            } else {
+                PhaseScope::inert()
+            },
+        }))
+    }
+
+    /// The guard every `charge_*` primitive runs under.
+    #[inline]
+    fn prim(
+        machine: &'a Machine,
+        clock: &'a Clock,
+        name: &'static str,
+        arg: Option<(&'static str, u64)>,
+    ) -> Self {
+        Self::open(machine, clock, Feed::Prim, "prim", name, arg)
+    }
+
+    /// Set the span's numeric argument, e.g. `("bytes", n)` once `n` is
+    /// known.
+    pub fn set_arg(&mut self, key: &'static str, value: u64) {
+        if let Some(open) = &mut self.0 {
+            open.arg = Some((key, value));
+        }
+    }
+}
+
+impl Drop for OpenSpan<'_> {
+    fn drop(&mut self) {
+        let dur = self.clock.now().saturating_sub(self.start);
+        let lane = self.clock.lane();
+        if self.feed != Feed::Wait {
+            if let Some(sink) = self.machine.trace.get() {
+                sink.record(TraceSpan {
+                    cat: self.cat,
+                    name: self.name.into(),
+                    lane,
+                    start: self.start,
+                    dur,
+                    arg: self.arg,
+                });
+            }
+        }
+        let label = match self.feed {
+            Feed::Span | Feed::Phase => return,
+            Feed::Prim => metrics::current_phase().unwrap_or(self.name),
+            Feed::Wait => self.name,
+        };
+        if let Some(m) = self.machine.metrics.get() {
+            m.phase_add(lane, label, dur);
+            m.hist_record(self.name, dur);
         }
     }
 }
@@ -836,15 +865,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_wait_records_clock_jumps() {
+    fn wait_until_records_clock_jumps() {
         use crate::metrics::MetricsRegistry;
         let m = Machine::chameleon();
         let reg = MetricsRegistry::new();
         assert!(m.set_metrics(reg.clone()));
         let c = Clock::with_lane(2);
-        let t0 = m.metrics_start(&c);
-        c.advance_to(SimTime::from_nanos(700));
-        m.metrics_wait(&c, t0, "mpi.wait");
+        let _p = m.phase_scope("get.memcpy");
+        m.wait_until(&c, SimTime::from_nanos(700));
         let s = reg.snapshot();
         assert_eq!(
             s.lane_phases(2),

@@ -8,6 +8,7 @@
 //! bookkeeping. When a [`MetricsRegistry`] is installed, the machine's
 //! `charge_*` primitives attribute the virtual-time delta of every charge
 //! to the innermost active *phase label* on the calling thread (pushed by
+//! [`crate::machine::Machine::phase`] or
 //! [`crate::machine::Machine::phase_scope`]), falling back to the
 //! primitive's own name. Because only charges attribute time — each delta
 //! exactly once — the per-lane phase totals *tile* the rank's timeline:
@@ -56,6 +57,7 @@ pub struct PhaseScope {
 
 impl PhaseScope {
     /// An inert scope (metrics disabled): drop does nothing.
+    #[inline]
     pub(crate) fn inert() -> Self {
         PhaseScope {
             active: false,
@@ -74,6 +76,7 @@ impl PhaseScope {
 }
 
 impl Drop for PhaseScope {
+    #[inline]
     fn drop(&mut self) {
         if self.active {
             PHASE_STACK.with(|s| {

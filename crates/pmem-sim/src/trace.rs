@@ -7,9 +7,9 @@
 //! virtual-time result: figure numbers are bit-identical with tracing on
 //! or off.
 //!
-//! The subsystem is disabled by default and zero-cost in that state: the
-//! instrumentation sites in [`crate::machine::Machine`] and the layers
-//! above check a single `OnceLock` and bail out before building a span.
+//! The subsystem is disabled by default and zero-cost in that state: every
+//! span is a [`crate::machine::SpanGuard`], which checks a single
+//! `OnceLock` on the machine and skips all bookkeeping when no sink is set.
 //! When a sink is installed, spans flow to it through the object-safe
 //! [`TraceSink`] trait; [`CollectingSink`] is the standard in-memory
 //! implementation, and [`chrome_trace_json`] / [`TraceSummary`] are the

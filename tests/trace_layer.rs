@@ -4,11 +4,16 @@
 //!    with the sink on vs. off),
 //! 2. the Chrome-trace exporter emits schema-valid JSON with one lane (tid)
 //!    per rank,
-//! 3. spans recorded concurrently from rank threads are never lost.
+//! 3. spans recorded concurrently from rank threads are never lost,
+//! 4. spans and metric phases agree on every exit path, failures included.
 
 use baselines::PmemcpyLib;
-use mpi_sim::{run_world_mode, SchedMode};
-use pmem_sim::{chrome_trace_json, CollectingSink, Machine, SimTime, TraceSummary};
+use mpi_sim::{run_world, run_world_mode, SchedMode};
+use pmem_sim::{
+    chrome_trace_json, CollectingSink, Machine, MetricsRegistry, PersistenceMode, PmemDevice,
+    SimTime, TraceSummary,
+};
+use pmemcpy::{MmapTarget, Pmem, PmemCpyError};
 use pmemcpy_bench::{run_cell, run_cell_traced, CellConfig, Direction};
 use std::sync::Arc;
 
@@ -171,6 +176,83 @@ fn spans_from_eight_rank_threads_are_all_retained() {
         for w in lane.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0, "overlapping spans on lane {r}");
         }
+    }
+}
+
+/// A span and the phase of the same name are one guard, so they cover the
+/// same interval even when the operation fails half-way: an 8 MiB put into
+/// a 4 MiB pool (`OutOfMemory` inside `put.reserve`) and a load into a
+/// half-size buffer (`ShapeMismatch` inside `get.memcpy`) must still close
+/// their spans.
+#[test]
+fn spans_and_phases_agree_on_failure_paths() {
+    const NPROCS: usize = 2;
+    const KEYS: usize = 4;
+    let machine = Machine::chameleon();
+    let sink = CollectingSink::new();
+    let reg = MetricsRegistry::new();
+    assert!(machine.set_trace_sink(sink.clone()));
+    assert!(machine.set_metrics(reg.clone()));
+    let dev = PmemDevice::new(Arc::clone(&machine), 4 << 20, PersistenceMode::Fast);
+    run_world(machine, NPROCS, move |comm| {
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        let data = vec![1.5f64; 4096];
+        for k in 0..KEYS {
+            let key = format!("r{}/k{k}", comm.rank());
+            pmem.store_slice(&key, &data).unwrap();
+            assert_eq!(pmem.load_slice::<f64>(&key).unwrap(), data);
+        }
+        let huge = vec![0u8; 8 << 20];
+        let err = pmem.store_slice(&format!("r{}/huge", comm.rank()), &huge);
+        assert!(
+            matches!(
+                err,
+                Err(PmemCpyError::Pmdk(pmdk_sim::PmdkError::OutOfMemory { .. }))
+            ),
+            "expected OutOfMemory, got {err:?}"
+        );
+        let mut half = vec![0f64; data.len() / 2];
+        let err = pmem.load_slice_into(&format!("r{}/k0", comm.rank()), &mut half);
+        assert!(
+            matches!(err, Err(PmemCpyError::ShapeMismatch { .. })),
+            "expected ShapeMismatch, got {err:?}"
+        );
+        pmem.munmap().unwrap();
+    });
+
+    let spans = sink.take();
+    let metrics = reg.snapshot();
+    for lane in 0..NPROCS as u64 {
+        let phases = metrics.lane_phases(lane);
+        for label in [
+            "put.serialize",
+            "put.memcpy",
+            "put.persist",
+            "get.memcpy",
+            "get.deserialize",
+            "tx.commit",
+        ] {
+            let span_total = spans
+                .iter()
+                .filter(|s| s.lane == lane && s.name == label)
+                .fold(SimTime::ZERO, |acc, s| acc + s.dur);
+            let phase_total = phases
+                .iter()
+                .find(|(n, _)| *n == label)
+                .map_or(SimTime::ZERO, |(_, t)| *t);
+            assert!(phase_total > SimTime::ZERO, "lane {lane}: no {label} phase");
+            assert_eq!(
+                span_total, phase_total,
+                "lane {lane}: {label} spans disagree with the phase"
+            );
+        }
+        // One put.reserve span per put, the failed one included.
+        let reserves = spans
+            .iter()
+            .filter(|s| s.lane == lane && s.name == "put.reserve")
+            .count();
+        assert_eq!(reserves, KEYS + 1, "lane {lane}: put.reserve spans");
     }
 }
 
