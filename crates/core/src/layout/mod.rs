@@ -21,7 +21,7 @@ pub mod hierarchical;
 
 use crate::error::{PmemCpyError, Result};
 use crate::sink::{MappingSink, MappingSource};
-use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine};
+use pmem_sim::{private_section, Clock, DaxMapping, FlushStrategy, Machine};
 use pserial::{Serializer, VarHeader, VarMeta};
 use std::sync::Arc;
 
@@ -160,6 +160,10 @@ pub trait Layout: Send + Sync {
             machine.metric_counter_add("put.logical_bytes", logical * scale);
             machine.metric_counter_add("put.media_bytes", media * scale);
         }
+        // Every byte below lands in a window this rank reserved and has not
+        // yet filled, so the whole loop yields to the scheduler once, not at
+        // every header-field store (shared touches inside still settle).
+        let _private = private_section();
         for (put, resv) in puts.iter().zip(&reservations) {
             let bytes = put.payload.len() as u64;
             {

@@ -78,7 +78,7 @@ impl World {
     }
 
     /// The cooperative scheduler, if this world is deterministic.
-    pub(crate) fn scheduler(&self) -> Option<&Arc<Scheduler>> {
+    pub fn scheduler(&self) -> Option<&Arc<Scheduler>> {
         self.sched.as_ref()
     }
 
@@ -137,7 +137,7 @@ impl Comm {
         // Each rank's clock reports trace spans on its own lane.
         let clock = Arc::new(Clock::with_lane(rank as u64));
         if let Some(sched) = world.scheduler() {
-            // Every charge on this clock becomes a scheduler yield point.
+            // Charges on this clock become scheduler yield points.
             clock.set_gate(Arc::clone(sched) as Arc<dyn ClockGate>, rank);
         }
         Comm { world, rank, clock }

@@ -5,18 +5,23 @@
 //! span order varied run to run even though every *cost* was virtual. The
 //! [`Scheduler`] removes the host from the picture: rank threads take turns,
 //! and the next turn always goes to the runnable rank with the **lowest
-//! virtual clock** (rank id breaks ties). Ranks hand the token back at every
-//! charge point — the [`pmem_sim::ClockGate`] hook fires on each
+//! virtual clock** (rank id breaks ties). Ranks offer the token back at
+//! charge points — the [`pmem_sim::ClockGate`] hook fires on
 //! `Clock::advance`/`advance_to` — and whenever they block in `recv`, so the
-//! whole multi-rank job becomes one deterministic sequential program. The
-//! same machine, the same configuration, any host core count: bit-identical
-//! results.
+//! whole multi-rank job becomes one deterministic sequential program. Charges
+//! inside a [`pmem_sim::private_section`] (rank-private work such as
+//! serializing into a reserved record window) defer their yield: the stretch
+//! yields once, at its last charge's time, when it ends or first touches
+//! shared state — every scheduler entry below settles it first. Private
+//! effects commute with other ranks' work, so this changes only how often
+//! the token moves, never a result. The same machine, the same
+//! configuration, any host core count: bit-identical results.
 //!
 //! [`SchedMode::FreeThreaded`] keeps the old behaviour (real OS threads
 //! racing) for tests that deliberately exercise host concurrency.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use pmem_sim::{ClockGate, SimTime};
+use pmem_sim::{settle_owed_yield, ClockGate, SimTime};
 
 /// How the ranks of a [`crate::World`] are interleaved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,6 +55,9 @@ struct SchedState {
     /// First fatal error (rank panic or detected deadlock). Every parked
     /// rank wakes and re-panics with this message.
     poison: Option<String>,
+    /// Token handoffs so far (host-cost diagnostics; not a metric, so no
+    /// report changes with it).
+    handoffs: u64,
 }
 
 /// The cooperative rank scheduler (one per deterministic [`crate::World`]).
@@ -72,6 +80,7 @@ impl Scheduler {
                 // t=0 and the rank id breaks the tie.
                 current: Some(0),
                 poison: None,
+                handoffs: 0,
             }),
             cvs: (0..size).map(|_| Condvar::new()).collect(),
         }
@@ -106,6 +115,7 @@ impl Scheduler {
     /// Hand the token to `next` (which must differ from the caller's rank).
     fn hand_to(&self, st: &mut SchedState, next: usize) {
         st.current = Some(next);
+        st.handoffs += 1;
         self.cvs[next].notify_one();
     }
 
@@ -116,8 +126,14 @@ impl Scheduler {
         self.wait_for_token(rank, &mut st);
     }
 
+    /// How many times the token has passed between ranks.
+    pub fn handoffs(&self) -> u64 {
+        self.state.lock().handoffs
+    }
+
     /// The rank body returned: retire the rank and pass the token on.
     pub fn finish(&self, rank: usize) {
+        settle_owed_yield();
         let mut st = self.state.lock();
         st.status[rank] = Status::Done;
         if st.current == Some(rank) {
@@ -133,6 +149,7 @@ impl Scheduler {
     /// becomes runnable again (it actually resumes at the sender's next
     /// yield, when the virtual-time order says so).
     pub fn unblock(&self, dest: usize) {
+        settle_owed_yield();
         let mut st = self.state.lock();
         if st.status[dest] == Status::Blocked {
             st.status[dest] = Status::Runnable;
@@ -144,6 +161,7 @@ impl Scheduler {
     /// back around. The caller re-checks its mailbox afterwards (a wakeup
     /// may be for a different (src, tag) than the one awaited).
     pub fn block_on_recv(&self, rank: usize) {
+        settle_owed_yield();
         let mut st = self.state.lock();
         Self::check_poison(&st);
         st.status[rank] = Status::Blocked;
@@ -216,6 +234,7 @@ mod tests {
             status: vec![Status::Runnable; 4],
             current: None,
             poison: None,
+            handoffs: 0,
         };
         assert_eq!(Scheduler::pick_next(&st), Some(1));
     }
@@ -227,6 +246,7 @@ mod tests {
             status: vec![Status::Done, Status::Blocked, Status::Runnable],
             current: None,
             poison: None,
+            handoffs: 0,
         };
         assert_eq!(Scheduler::pick_next(&st), Some(2));
     }
@@ -240,6 +260,29 @@ mod tests {
         s.state.lock().status[0] = Status::Done;
         s.unblock(0);
         assert_eq!(s.state.lock().status[0], Status::Done);
+    }
+
+    /// Two ranks race to first-touch one page; rank 0 gets there later in
+    /// virtual time but first in host order when its charges are deferred.
+    /// The settle before a first touch must hand the page (and its fault)
+    /// to rank 1, exactly as yielding at every charge does.
+    #[test]
+    fn private_sections_keep_first_touch_fault_attribution() {
+        use pmem_sim::{private_section, DaxMapping, Machine, PersistenceMode, PmemDevice};
+        use std::sync::Arc;
+        let run = |private: bool| {
+            let machine = Machine::chameleon();
+            let dev = PmemDevice::new(Arc::clone(&machine), 1 << 16, PersistenceMode::Fast);
+            let map = DaxMapping::new(&pmem_sim::Clock::new(), dev, 0, 1 << 16, false);
+            crate::run_world(machine, 2, move |comm| {
+                let _private = private.then(private_section);
+                let lead = if comm.rank() == 0 { 10 } else { 1 };
+                comm.clock().advance(SimTime::from_micros(lead));
+                map.store(comm.clock(), comm.rank() * 8, &[1; 8]);
+                comm.now()
+            })
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::buffer::SharedBuffer;
 use crate::machine::Machine;
 use crate::persistence::PersistenceTracker;
 use crate::profile::FlushStrategy;
-use crate::time::Clock;
+use crate::time::{settle_owed_yield, Clock};
 use std::sync::Arc;
 
 /// Whether the device maintains a durable shadow image for crash simulation.
@@ -54,12 +54,22 @@ impl PmemDevice {
         self.tracker.is_some()
     }
 
+    /// The persistence tracker (Tracked mode only), reached only after
+    /// settling any owed scheduler yield: the dirty bitmap and the shadow
+    /// are shared at cacheline granularity, so the order of tracker calls
+    /// across ranks decides the durable image.
+    fn tracker(&self) -> Option<&PersistenceTracker> {
+        let t = self.tracker.as_ref()?;
+        settle_owed_yield();
+        Some(t)
+    }
+
     // ---- untimed data plane (used by layers that model costs themselves) ----
 
     /// Store bytes without charging virtual time.
     pub fn write_untimed(&self, off: usize, src: &[u8]) {
         self.buf.write(off, src);
-        if let Some(t) = &self.tracker {
+        if let Some(t) = self.tracker() {
             t.record_write(off, src.len());
         }
     }
@@ -72,7 +82,7 @@ impl PmemDevice {
     /// Zero a range without charging virtual time.
     pub fn zero_untimed(&self, off: usize, len: usize) {
         self.buf.zero(off, len);
-        if let Some(t) = &self.tracker {
+        if let Some(t) = self.tracker() {
             t.record_write(off, len);
         }
     }
@@ -88,7 +98,7 @@ impl PmemDevice {
     /// the covered lines move to the shadow image exactly as a charged
     /// [`PmemDevice::persist`] would, in `Fast` mode it is a no-op.
     pub fn persist_untimed(&self, off: usize, len: usize) {
-        if let Some(t) = &self.tracker {
+        if let Some(t) = self.tracker() {
             t.flush(&self.buf, off, len);
         }
     }
@@ -155,7 +165,7 @@ impl PmemDevice {
     /// domain (CLWB-equivalent). Charges flush CPU cost.
     pub fn flush(&self, clock: &Clock, off: usize, len: usize) {
         self.machine.charge_flush(clock, len as u64);
-        if let Some(t) = &self.tracker {
+        if let Some(t) = self.tracker() {
             t.flush(&self.buf, off, len);
         }
     }
@@ -180,7 +190,7 @@ impl PmemDevice {
             FlushStrategy::Clwb => self.flush(clock, off, len),
             FlushStrategy::Ntstore => {
                 self.machine.charge_ntstore(clock, len as u64);
-                if let Some(t) = &self.tracker {
+                if let Some(t) = self.tracker() {
                     t.flush(&self.buf, off, len);
                 }
             }
@@ -198,8 +208,7 @@ impl PmemDevice {
     /// Panics in `Fast` mode — a benchmark configuration cannot crash.
     pub fn crash(&self) {
         let t = self
-            .tracker
-            .as_ref()
+            .tracker()
             .expect("crash() requires PersistenceMode::Tracked");
         t.crash_restore(&self.buf);
     }

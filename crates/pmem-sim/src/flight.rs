@@ -30,7 +30,7 @@
 //! offset or charge-accounted byte count.
 
 use crate::device::PmemDevice;
-use crate::time::Clock;
+use crate::time::{settle_owed_yield, Clock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -304,6 +304,8 @@ impl FlightRecorder {
         if !self.enabled() {
             return;
         }
+        // Sequence numbers follow the order ranks record in.
+        settle_owed_yield();
         let mut next = self.next_seq.lock();
         let seq = *next;
         let ev = FlightEvent {

@@ -54,7 +54,10 @@ pub use mmap::DaxMapping;
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
 pub use stats::{Stats, StatsSnapshot};
-pub use time::{atomic_section, in_atomic_section, AtomicSection, Clock, ClockGate, SimTime};
+pub use time::{
+    atomic_section, in_atomic_section, private_section, settle_owed_yield, AtomicSection, Clock,
+    ClockGate, PrivateSection, SimTime,
+};
 pub use trace::{
     chrome_trace_json, CollectingSink, TraceSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
 };

@@ -15,7 +15,7 @@
 //! landing in the same mapping).
 
 use crate::device::PmemDevice;
-use crate::time::Clock;
+use crate::time::{settle_owed_yield, Clock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,6 +33,12 @@ impl PageBitmap {
             words: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             pages,
         }
+    }
+
+    /// Whether every page in `[first, last]` is already set.
+    fn all_set(&self, first: usize, last: usize) -> bool {
+        (first..=last)
+            .all(|page| self.words[page / 64].load(Ordering::Relaxed) & (1u64 << (page % 64)) != 0)
     }
 
     /// Set all pages in `[first, last]`; returns how many were newly set.
@@ -134,6 +140,10 @@ impl DaxMapping {
         let page = self.device.machine().config().page_size as usize;
         let first = off / page;
         let last = (off + len - 1) / page;
+        if !self.touched.all_set(first, last) {
+            // Which rank touches a page first decides who pays its fault.
+            settle_owed_yield();
+        }
         let new_pages = self.touched.set_range(first, last);
         if new_pages > 0 {
             let scale = self.device.machine().config().byte_scale;
@@ -203,6 +213,7 @@ impl DaxMapping {
     /// Tear down the mapping. Charges one munmap syscall. Subsequent
     /// accesses panic (the simulated SIGSEGV).
     pub fn unmap(&self, clock: &Clock) {
+        settle_owed_yield();
         {
             let mut st = self.state.lock();
             assert!(*st == MapState::Mapped, "double munmap");

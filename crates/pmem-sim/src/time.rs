@@ -6,7 +6,7 @@
 //! wall-clock time never enters the model, which makes every experiment
 //! deterministic and independent of the host machine.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::iter::Sum;
 use std::marker::PhantomData;
@@ -160,12 +160,15 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Observer invoked after every charge on a *gated* clock.
+/// Observer invoked after charges on a *gated* clock.
 ///
 /// This is the hook a cooperative scheduler (see `mpi-sim`) installs to turn
-/// every virtual-time charge into a potential yield point: the implementation
-/// may park the calling thread until it is that rank's turn to run again.
-/// Clocks without a gate (background clocks, unit tests) never call it.
+/// virtual-time charges into yield points: the implementation may park the
+/// calling thread until it is that rank's turn to run again. A charge
+/// reaches the gate immediately unless the thread is inside an
+/// [`atomic_section`] (never reaches it) or a [`private_section`] (reaches
+/// it once, deferred, as the section's owed yield). Clocks without a gate
+/// (background clocks, unit tests) never call it.
 pub trait ClockGate: Send + Sync + fmt::Debug {
     /// The rank owning the clock just advanced it to `now`.
     fn charged(&self, rank: usize, now: SimTime);
@@ -175,6 +178,19 @@ thread_local! {
     /// Depth of nested [`atomic_section`]s on this thread. While non-zero,
     /// gated clocks on this thread charge without yielding.
     static ATOMIC_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Depth of nested [`private_section`]s on this thread. While non-zero,
+    /// gated charges defer their yield into [`OWED`].
+    static PRIVATE_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// The yield this thread's private stretch owes its gate: the latest
+    /// deferred charge. Paid by [`settle_owed_yield`].
+    static OWED: RefCell<Option<OwedYield>> = const { RefCell::new(None) };
+}
+
+/// A deferred `gate.charged(rank, at)` call.
+struct OwedYield {
+    gate: Arc<dyn ClockGate>,
+    rank: usize,
+    at: SimTime,
 }
 
 /// RAII marker for a critical section that must not yield to the scheduler.
@@ -191,8 +207,13 @@ pub struct AtomicSection {
     _not_send: PhantomData<*const ()>,
 }
 
-/// Open an [`AtomicSection`] on the current thread.
+/// Open an [`AtomicSection`] on the current thread. The outermost one
+/// first settles any owed yield (see [`private_section`]): every host-lock
+/// critical section is an access to shared simulated state.
 pub fn atomic_section() -> AtomicSection {
+    if !in_atomic_section() {
+        settle_owed_yield();
+    }
     ATOMIC_DEPTH.with(|d| d.set(d.get() + 1));
     AtomicSection {
         _not_send: PhantomData,
@@ -210,6 +231,82 @@ pub fn in_atomic_section() -> bool {
     ATOMIC_DEPTH.with(|d| d.get() > 0)
 }
 
+/// RAII marker for a stretch of rank-private work: code whose effects no
+/// other rank can observe until the stretch ends (serializing into a record
+/// window this rank reserved and has not yet filled).
+///
+/// Inside the section a gated charge does not yield; it records an *owed
+/// yield* — the rank and the time of that charge — and the next charge
+/// overwrites it. The debt is paid exactly once, as one
+/// `gate.charged(rank, t_last)`, by [`settle_owed_yield`]: on exit from the
+/// outermost section, and before every access to shared simulated state
+/// inside it (the outermost [`atomic_section`], a first-touch page fault,
+/// the persistence tracker, an unmap, a flight-recorder event, a scheduler
+/// entry). With one token holder running at a time, a stretch of private
+/// effects commutes with every other rank's work, and each shared access
+/// still runs only once its rank holds the minimum (virtual time, rank id)
+/// — so results are bit-identical to yielding at every charge, minus the
+/// handoffs. Sections nest; the handle is `!Send` like [`AtomicSection`].
+#[must_use = "the section ends when this guard is dropped"]
+#[derive(Debug)]
+pub struct PrivateSection {
+    _not_send: PhantomData<*const ()>,
+}
+
+/// Open a [`PrivateSection`] on the current thread.
+pub fn private_section() -> PrivateSection {
+    PRIVATE_DEPTH.with(|d| d.set(d.get() + 1));
+    PrivateSection {
+        _not_send: PhantomData,
+    }
+}
+
+impl Drop for PrivateSection {
+    fn drop(&mut self) {
+        let depth = PRIVATE_DEPTH.with(|d| {
+            d.set(d.get() - 1);
+            d.get()
+        });
+        if depth > 0 {
+            return;
+        }
+        if std::thread::panicking() {
+            // The world is being poisoned; paying could re-panic mid-unwind.
+            OWED.with(|o| o.borrow_mut().take());
+        } else {
+            settle_owed_yield();
+        }
+    }
+}
+
+/// Pay the current thread's owed yield, if any (see [`private_section`]).
+/// Called before touching shared simulated state; a no-op outside private
+/// sections.
+pub fn settle_owed_yield() {
+    if let Some(owed) = OWED.with(|o| o.borrow_mut().take()) {
+        owed.gate.charged(owed.rank, owed.at);
+    }
+}
+
+/// Defer a gated charge's yield into the thread's owed yield.
+fn owe_yield(gate: &Arc<dyn ClockGate>, rank: usize, at: SimTime) {
+    let stale = OWED.with(|o| match &mut *o.borrow_mut() {
+        Some(owed) if owed.rank == rank && Arc::ptr_eq(&owed.gate, gate) => {
+            owed.at = at;
+            None
+        }
+        slot => slot.replace(OwedYield {
+            gate: Arc::clone(gate),
+            rank,
+            at,
+        }),
+    });
+    // A debt to another clock's gate is paid rather than merged.
+    if let Some(owed) = stale {
+        owed.gate.charged(owed.rank, owed.at);
+    }
+}
+
 /// A per-rank virtual clock.
 ///
 /// The clock is shared (behind `Arc`) between the rank's call stack and the
@@ -222,8 +319,9 @@ pub struct Clock {
     /// clocks, reserved ids for background clocks). Purely diagnostic: the
     /// cost model never reads it.
     lane: u64,
-    /// Scheduler hook: `(gate, rank)` notified after every charge. Installed
-    /// at most once, by the communicator that owns this clock.
+    /// Scheduler hook: `(gate, rank)` notified after charges (see
+    /// [`ClockGate`]). Installed at most once, by the communicator that owns
+    /// this clock.
     gate: OnceLock<(Arc<dyn ClockGate>, usize)>,
 }
 
@@ -254,8 +352,8 @@ impl Clock {
     }
 
     /// Install a scheduler gate: `gate.charged(rank, now)` runs after every
-    /// subsequent charge (outside atomic sections). At most one gate per
-    /// clock; later calls are ignored.
+    /// subsequent charge outside atomic sections (deferred inside private
+    /// sections). At most one gate per clock; later calls are ignored.
     pub fn set_gate(&self, gate: Arc<dyn ClockGate>, rank: usize) {
         let _ = self.gate.set((gate, rank));
     }
@@ -263,7 +361,12 @@ impl Clock {
     #[inline]
     fn after_charge(&self, now: SimTime) {
         if let Some((gate, rank)) = self.gate.get() {
-            if !in_atomic_section() {
+            if in_atomic_section() {
+                return;
+            }
+            if PRIVATE_DEPTH.with(Cell::get) > 0 {
+                owe_yield(gate, *rank, now);
+            } else {
                 gate.charged(*rank, now);
             }
         }
@@ -394,6 +497,81 @@ mod tests {
         assert_eq!(gate.calls.lock().unwrap().len(), 1);
         // Time advanced normally throughout.
         assert_eq!(c.now(), SimTime::from_nanos(4));
+    }
+
+    fn gated(rank: usize) -> (Arc<CountingGate>, Clock) {
+        let gate = Arc::new(CountingGate::default());
+        let c = Clock::new();
+        c.set_gate(Arc::clone(&gate) as Arc<dyn ClockGate>, rank);
+        (gate, c)
+    }
+
+    fn calls(gate: &CountingGate) -> Vec<(usize, SimTime)> {
+        gate.calls.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn private_section_pays_one_yield_at_the_last_charge_time() {
+        let (gate, c) = gated(2);
+        {
+            let _private = private_section();
+            c.advance(SimTime::from_nanos(5));
+            c.advance_to(SimTime::from_nanos(9));
+            c.advance(SimTime::from_nanos(1));
+            assert!(calls(&gate).is_empty(), "charges inside must not yield");
+        }
+        assert_eq!(calls(&gate), vec![(2, SimTime::from_nanos(10))]);
+        c.advance(SimTime::from_nanos(1));
+        assert_eq!(calls(&gate).len(), 2, "outside, every charge yields again");
+    }
+
+    #[test]
+    fn private_section_without_a_charge_pays_nothing() {
+        let (gate, _c) = gated(0);
+        drop(private_section());
+        settle_owed_yield();
+        assert!(calls(&gate).is_empty());
+    }
+
+    #[test]
+    fn atomic_section_inside_a_private_section_settles_first() {
+        let (gate, c) = gated(1);
+        let private = private_section();
+        c.advance(SimTime::from_nanos(3));
+        {
+            let _atomic = atomic_section();
+            assert_eq!(calls(&gate), vec![(1, SimTime::from_nanos(3))]);
+            c.advance(SimTime::from_nanos(4));
+        }
+        assert_eq!(calls(&gate).len(), 1, "atomic charges never yield");
+        drop(private);
+        assert_eq!(
+            calls(&gate).len(),
+            1,
+            "nothing was owed after the atomic section"
+        );
+    }
+
+    #[test]
+    fn nested_private_sections_pay_only_at_the_outermost_exit() {
+        let (gate, c) = gated(0);
+        let outer = private_section();
+        {
+            let _inner = private_section();
+            c.advance(SimTime::from_nanos(2));
+        }
+        assert!(calls(&gate).is_empty());
+        c.advance(SimTime::from_nanos(2));
+        drop(outer);
+        assert_eq!(calls(&gate), vec![(0, SimTime::from_nanos(4))]);
+    }
+
+    #[test]
+    fn ungated_clock_never_records_a_debt() {
+        let c = Clock::new();
+        let _private = private_section();
+        c.advance(SimTime::from_nanos(5));
+        assert!(OWED.with(|o| o.borrow().is_none()));
     }
 
     #[test]

@@ -114,7 +114,14 @@ pub fn json_escape(s: &str) -> String {
 /// `chrome://tracing` load). Each lane becomes one `tid` under a single
 /// process; `lane_names` supplies optional thread-name metadata (e.g.
 /// `(0, "rank 0")`). Timestamps are virtual microseconds.
+///
+/// Spans are emitted grouped by lane, in record order within each lane.
+/// That order is canonical: a lane's spans are recorded by one thread in
+/// program order, while how lanes interleave in a sink depends only on
+/// where the scheduler hands the token over.
 pub fn chrome_trace_json(spans: &[TraceSpan], lane_names: &[(u64, String)]) -> String {
+    let mut spans: Vec<&TraceSpan> = spans.iter().collect();
+    spans.sort_by_key(|s| s.lane);
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     for (lane, name) in lane_names {
@@ -292,6 +299,32 @@ mod tests {
         assert!(json.contains("\"name\":\"pmem.write\""));
         // 1000ns start = 1 virtual microsecond.
         assert!(json.contains("\"ts\":1"));
+    }
+
+    #[test]
+    fn chrome_json_groups_lanes_and_keeps_record_order_within_each() {
+        let interleaved = vec![
+            span("prim", "b", 1, 0, 1),
+            span("prim", "a", 0, 5, 1),
+            span("prim", "c", 1, 2, 1),
+            span("prim", "d", 0, 1, 1),
+        ];
+        let grouped = vec![
+            span("prim", "a", 0, 5, 1),
+            span("prim", "d", 0, 1, 1),
+            span("prim", "b", 1, 0, 1),
+            span("prim", "c", 1, 2, 1),
+        ];
+        assert_eq!(
+            chrome_trace_json(&interleaved, &[]),
+            chrome_trace_json(&grouped, &[])
+        );
+        let json = chrome_trace_json(&interleaved, &[]);
+        let order: Vec<usize> = ["\"a\"", "\"d\"", "\"b\"", "\"c\""]
+            .iter()
+            .map(|n| json.find(n).unwrap())
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{json}");
     }
 
     #[test]

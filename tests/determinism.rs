@@ -15,8 +15,10 @@ use mpi_sim::run_world;
 use pmem_sim::{
     chrome_trace_json, CollectingSink, Machine, PersistenceMode, PmemDevice, SimTime, StatsSnapshot,
 };
+use pmemcpy::{MmapTarget, Pmem};
 use pmemcpy_bench::{run_cell, run_cell_traced, run_figure, CellConfig, Direction};
 use std::sync::Arc;
+use workloads::StormSpec;
 
 fn headline_cfg(nprocs: u64) -> CellConfig {
     let mut cfg = CellConfig::paper(nprocs, 2 << 20);
@@ -96,4 +98,57 @@ fn per_rank_virtual_times_are_bit_identical_under_contention() {
     let (times_b, stats_b) = contended_run();
     assert_eq!(times_a, times_b, "per-rank virtual times differ");
     assert_eq!(stats_a, stats_b, "machine counters differ");
+}
+
+/// A 4-rank × 2 048-key creation storm, twice: per-rank times, counters and
+/// the whole pool image must match byte for byte. Record serialization runs
+/// in private sections, which yield once per stretch instead of at every
+/// header-field store, so the job hands the token over less than once per
+/// key (yielding at every charge costs about 10.7 handoffs per key).
+#[test]
+fn storm_is_bit_identical_with_under_one_handoff_per_key() {
+    let spec = StormSpec::new(4, 2048, 8);
+    let storm = || {
+        let machine = Machine::chameleon();
+        let dev_size = (spec.total_keys() * 384 + (32 << 20)) as usize;
+        let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
+        let dev = Arc::clone(&device);
+        let out = run_world(Arc::clone(&machine), spec.ranks as usize, move |comm| {
+            let rank = comm.rank() as u64;
+            let mut pmem = Pmem::new();
+            pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+            for first in (0..spec.keys_per_rank).step_by(64) {
+                let keys: Vec<u64> = (first..spec.keys_per_rank.min(first + 64)).collect();
+                let names: Vec<String> = keys.iter().map(|&k| spec.key(rank, k)).collect();
+                let vals: Vec<Vec<u8>> = keys.iter().map(|&k| spec.value(rank, k)).collect();
+                let mut batch = pmem.batch();
+                for (name, val) in names.iter().zip(&vals) {
+                    batch.store_slice::<u8>(name, val).unwrap();
+                }
+                batch.commit().unwrap();
+            }
+            comm.barrier();
+            pmem.munmap().unwrap();
+            (comm.now(), Arc::clone(comm.world()))
+        });
+        let handoffs = out[0]
+            .1
+            .scheduler()
+            .expect("deterministic world")
+            .handoffs();
+        let times: Vec<SimTime> = out.into_iter().map(|(t, _)| t).collect();
+        let image = device.read_vec_untimed(0, device.size());
+        (times, machine.stats.snapshot(), image, handoffs)
+    };
+    let (times_a, stats_a, image_a, handoffs_a) = storm();
+    let (times_b, stats_b, image_b, handoffs_b) = storm();
+    assert_eq!(times_a, times_b, "per-rank virtual times differ");
+    assert_eq!(stats_a, stats_b, "machine counters differ");
+    assert!(image_a == image_b, "pool images differ");
+    assert_eq!(handoffs_a, handoffs_b, "token handoffs differ");
+    assert!(
+        handoffs_a < spec.total_keys(),
+        "{handoffs_a} token handoffs for {} keys",
+        spec.total_keys()
+    );
 }
