@@ -217,8 +217,6 @@ impl Criterion {
         self.benchmark_group("bench").bench_function(id, f);
         self
     }
-
-    pub fn final_summary(&self) {}
 }
 
 /// Collect benchmark functions under one group name (Criterion-compatible).

@@ -98,10 +98,6 @@ impl Heap {
         })
     }
 
-    pub fn heap_bounds(&self) -> (u64, u64) {
-        (self.heap_start, self.heap_end)
-    }
-
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated
     }

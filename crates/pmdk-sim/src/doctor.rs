@@ -289,11 +289,6 @@ impl HashtableReport {
         self.errors.is_empty()
     }
 
-    /// Entry count mismatch is only meaningful on a cleanly-folded table.
-    pub fn count_consistent(&self) -> bool {
-        self.count_dirty || self.persisted_count == self.reachable
-    }
-
     /// Find a reachable entry by exact key.
     pub fn lookup(&self, key: &[u8]) -> Option<&EntryReport> {
         self.entries.iter().find(|e| e.key == key)

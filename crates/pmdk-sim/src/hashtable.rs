@@ -49,12 +49,17 @@
 //! a writer or a migration raced them. Chains are walked in a single pass —
 //! one 24-byte metadata read fetches an entry's whole
 //! `[hash][klen][vlen][next]` header — and a volatile DRAM shadow index
-//! (key → [`ValueRef`], write-through on every mutation, rebuildable via
-//! [`PersistentHashtable::rebuild_shadow`]) lets repeat lookups skip the
-//! PMEM walk entirely. The shadow invariant is that a cached entry lives
-//! only at its key's *current* route stripe; migration wholesale-clears
+//! (key → [`ValueRef`], write-through on every mutation, cold after open
+//! and repopulated lazily by lookups) lets repeat lookups skip the PMEM
+//! walk entirely. The shadow invariant is that a cached entry lives only at
+//! its key's *current* route stripe; migration wholesale-clears
 //! source-stripe shadows whenever a bucket's stripe changes across the
 //! split.
+//!
+//! Every operation has one code path: single-key `put`/`get_ref` are
+//! batches of one through the group insert and grouped lookup, and every
+//! single-key locked walk goes through one route-pinning stripe lock
+//! (`locked`).
 
 use crate::error::{PmdkError, Result};
 use crate::pool::PmemPool;
@@ -323,8 +328,7 @@ impl PersistentHashtable {
     /// table that is not the old one doubled all reject the header instead
     /// of faulting later. If the table crashed with unfolded per-stripe
     /// counts (dirty flag set), the count is recounted from the chains
-    /// here. The shadow index starts cold (lookups repopulate it lazily);
-    /// call [`PersistentHashtable::rebuild_shadow`] to warm it eagerly.
+    /// here. The shadow index starts cold; lookups repopulate it lazily.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
         let dev_size = pool.device().size() as u64;
         if header
@@ -387,14 +391,12 @@ impl PersistentHashtable {
             // Crashed with unfolded per-stripe deltas: recount from the
             // chains (cheap 8-byte next-pointer hops) and fold + clear in
             // ordered single-word persisted writes.
-            let mut n = 0u64;
-            for (slot, _) in ht.head_slots(ht.geo()) {
-                let mut entry = pool.read_u64(clock, slot);
-                while entry != 0 {
-                    n += 1;
-                    entry = pool.read_u64(clock, entry + ENT_NEXT);
-                }
-            }
+            let hist = ht.chain_length_histogram(clock);
+            let n: u64 = hist
+                .iter()
+                .enumerate()
+                .map(|(len, &c)| len as u64 * c)
+                .sum();
             pool.write_u64(clock, header + HDR_COUNT, n);
             pool.write_u64(clock, header + HDR_DIRTY, 0);
             ht.count_base.store(n, Ordering::Relaxed);
@@ -438,19 +440,11 @@ impl PersistentHashtable {
         self.auto_resize.store(enabled, Ordering::Relaxed);
     }
 
-    pub fn auto_resize(&self) -> bool {
-        self.auto_resize.load(Ordering::Relaxed)
-    }
-
     /// Number of live entries: the last folded count plus every stripe's
     /// volatile delta.
     pub fn len(&self, clock: &Clock) -> u64 {
-        let delta: i64 = self
-            .stripes
-            .iter()
-            .map(|s| s.live.load(Ordering::Relaxed))
-            .sum();
-        (self.pool.read_u64(clock, self.header + HDR_COUNT) as i64 + delta).max(0) as u64
+        (self.pool.read_u64(clock, self.header + HDR_COUNT) as i64 + self.live_delta()).max(0)
+            as u64
     }
 
     pub fn is_empty(&self, clock: &Clock) -> bool {
@@ -460,12 +454,15 @@ impl PersistentHashtable {
     /// Charge-free live-entry estimate for the split trigger (volatile
     /// words only — the insert hot path must not pay a pool read here).
     fn live_estimate(&self) -> u64 {
-        let delta: i64 = self
-            .stripes
+        (self.count_base.load(Ordering::Relaxed) as i64 + self.live_delta()).max(0) as u64
+    }
+
+    /// Sum of every stripe's unfolded live-entry delta.
+    fn live_delta(&self) -> i64 {
+        self.stripes
             .iter()
             .map(|s| s.live.load(Ordering::Relaxed))
-            .sum();
-        (self.count_base.load(Ordering::Relaxed) as i64 + delta).max(0) as u64
+            .sum()
     }
 
     /// Seqlock snapshot of the geometry (never blocks, never tears).
@@ -531,6 +528,27 @@ impl PersistentHashtable {
         self.stripes[id].lock.lock()
     }
 
+    /// Run `f` with the stripe guarding `hash`'s chain held and its route
+    /// pinned: route → lock the stripe → re-check the route (a migration
+    /// may have moved the bucket in between) → retry. Charges under the
+    /// stripe run in an atomic section, so the deterministic scheduler
+    /// never parks this thread while it holds the stripe.
+    fn locked<T>(&self, hash: u64, f: impl FnOnce(Route) -> T) -> T {
+        let _atomic = pmem_sim::atomic_section();
+        loop {
+            let r = self.geo().route(hash);
+            let _guard = self.lock_stripe(r.sid);
+            // Holding the stripe pins the route (migration locks it too).
+            if self.geo().route(hash) == r {
+                return f(r);
+            }
+            self.pool
+                .device()
+                .machine()
+                .metric_counter_add("ht.route.retries", 1);
+        }
+    }
+
     // ---- sharded count: dirty flag + quiesce fold ----
 
     /// Mark the persistent count stale before the first count-changing
@@ -560,12 +578,7 @@ impl PersistentHashtable {
         }
         let _atomic = pmem_sim::atomic_section();
         let _guards: Vec<_> = (0..STRIPES).map(|i| self.lock_stripe(i)).collect();
-        let delta: i64 = self
-            .stripes
-            .iter()
-            .map(|s| s.live.load(Ordering::Relaxed))
-            .sum();
-        let folded = (self.count_base.load(Ordering::Relaxed) as i64 + delta).max(0) as u64;
+        let folded = self.live_estimate();
         self.pool.tx(clock, |tx| {
             self.pool.fail_check(clock, "ht::count-fold")?;
             tx.set(self.header + HDR_COUNT, &folded.to_le_bytes())?;
@@ -843,6 +856,12 @@ impl PersistentHashtable {
         out
     }
 
+    /// [`Self::find`] reduced to the value location (lookup fallbacks).
+    fn find_ref(&self, clock: &Clock, r: Route, key: &[u8], hash: u64) -> Option<ValueRef> {
+        self.find(clock, r.head_slot, key, hash)
+            .map(|(_, entry, hdr)| value_ref_of(entry, &hdr))
+    }
+
     // ---- volatile shadow index ----
 
     /// Enable/disable the shadow index at runtime; disabling drops every
@@ -856,43 +875,9 @@ impl PersistentHashtable {
         }
     }
 
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow_enabled.load(Ordering::Relaxed)
-    }
-
     /// Number of cached key → value locations (diagnostics).
     pub fn shadow_len(&self) -> usize {
         self.stripes.iter().map(|s| s.shadow.lock().len()).sum()
-    }
-
-    /// Rebuild the shadow index from the persistent table: one full bucket
-    /// scan, charged like any other metadata walk. Opening a pool leaves
-    /// the cache cold by default (lazy population is free); callers that
-    /// prefer a warm cache after `open` pay the scan cost explicitly here.
-    /// Returns the number of entries installed.
-    pub fn rebuild_shadow(&self, clock: &Clock) -> u64 {
-        if !self.shadow_enabled.load(Ordering::Relaxed) {
-            return 0;
-        }
-        let _atomic = pmem_sim::atomic_section();
-        let mut installed = 0u64;
-        // Snapshot the geometry under the resize lock so no bucket migrates
-        // (changing its stripe) while the scan installs entries.
-        let _resize = self.resize_lock.lock();
-        for (slot, sid) in self.head_slots(self.geo()) {
-            let _guard = self.lock_stripe(sid);
-            let mut shadow = self.stripes[sid].shadow.lock();
-            let mut entry = self.pool.read_u64(clock, slot);
-            while entry != 0 {
-                let hdr = self.read_entry_header(clock, entry);
-                let mut k = vec![0u8; hdr.klen as usize];
-                self.pool.read_bytes(clock, entry + ENT_KEY, &mut k);
-                shadow.insert(k, value_ref_of(entry, &hdr));
-                installed += 1;
-                entry = hdr.next;
-            }
-        }
-        installed
     }
 
     /// Probe the shadow index. A hit replaces the whole PMEM chain walk
@@ -968,40 +953,55 @@ impl PersistentHashtable {
         stripe.shadow.lock().insert(key.to_vec(), vref);
     }
 
-    /// Insert (or replace) `key` with space for `val_len` value bytes, but do
-    /// not write the value: returns its [`ValueRef`] so the caller can
-    /// serialize *directly into PMEM* (the pMEMCPY zero-staging write path).
-    ///
-    /// Crash contract: the *structure* is atomic (old value or new entry,
-    /// never a torn chain), but the new value bytes are the caller's
-    /// responsibility — a crash between this call and the caller's persist
-    /// leaves the entry with unwritten contents, exactly like a crash in the
-    /// middle of a pMEMCPY `store`. Use [`PersistentHashtable::put`] for a
-    /// fully atomic key+value update.
-    pub fn put_reserve(&self, clock: &Clock, key: &[u8], val_len: u64) -> Result<ValueRef> {
-        let mut refs = self.put_reserve_many(clock, &[(key, val_len)])?;
-        Ok(refs.remove(0))
+    /// Insert (or replace) `key → value` atomically: on a crash at any point
+    /// the table holds either the complete old mapping or the complete new
+    /// one. A batch of one through the group insert, with the value written
+    /// before the commit point.
+    pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
+        let refs = self.insert_many(clock, &[(key, value.len() as u64)], Some(&[value]))?;
+        Ok(refs[0])
     }
 
-    /// Group-commit variant of [`PersistentHashtable::put_reserve`]: reserve
-    /// space for every `(key, val_len)` in **one pool transaction** with
+    /// Insert (or replace) every `key` with space for `val_len` value bytes,
+    /// but do not write the values: returns their [`ValueRef`]s so the
+    /// caller can serialize *directly into PMEM* (the pMEMCPY zero-staging
+    /// write path). The whole group takes **one pool transaction** with
     /// **one allocator pass** (`Tx::alloc_many`), stripe-grouped chain
     /// splices (one snapshotted head write per touched bucket), and
-    /// volatile per-stripe count updates for the whole group.
+    /// volatile per-stripe count updates.
     ///
     /// Crash contract: the transaction is the atomicity boundary — a crash
     /// anywhere before the lane commit point rolls the *entire group* back
-    /// (no key from the batch visible, every replaced entry intact). Value
-    /// bytes remain the caller's responsibility, as with `put_reserve`.
+    /// (no key from the batch visible, every replaced entry intact). The
+    /// new value bytes are the caller's responsibility — a crash between
+    /// this call and the caller's persist leaves the entries with unwritten
+    /// contents, exactly like a crash in the middle of a pMEMCPY `store`.
+    /// Use [`PersistentHashtable::put`] for a fully atomic key+value update.
     ///
     /// Duplicate keys within one batch are rejected: two reservations cannot
-    /// both be linked under the same key atomically.
+    /// both be linked under the same key atomically. Values over 4 GiB are
+    /// rejected before anything is locked or allocated.
     pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
+        self.insert_many(clock, reqs, None)
+    }
+
+    /// The one insert path. `values`, when given, is positionally parallel
+    /// to `reqs` and is written into each fresh entry before the head
+    /// splice, so the whole key+value update commits atomically.
+    fn insert_many(
+        &self,
+        clock: &Clock,
+        reqs: &[(&[u8], u64)],
+        values: Option<&[&[u8]]>,
+    ) -> Result<Vec<ValueRef>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        for &(_, val_len) in reqs {
-            assert!(val_len <= u32::MAX as u64, "values are capped at 4 GiB");
+        if let Some(&(key, val_len)) = reqs.iter().find(|&&(_, v)| v > u32::MAX as u64) {
+            return Err(PmdkError::TxFailure(format!(
+                "value of {val_len} bytes for {:?} exceeds the 4 GiB entry cap",
+                String::from_utf8_lossy(key)
+            )));
         }
         let mut seen = std::collections::HashSet::with_capacity(reqs.len());
         for &(key, _) in reqs {
@@ -1080,6 +1080,9 @@ impl PersistentHashtable {
                         tx.write_new(entry + ENT_KLEN, &(key.len() as u32).to_le_bytes());
                         tx.write_new(entry + ENT_VLEN, &(val_len as u32).to_le_bytes());
                         tx.write_new(entry + ENT_KEY, key);
+                        if let Some(values) = values {
+                            tx.write_new(entry + ENT_KEY + key.len() as u64, values[i]);
+                        }
                         tx.write_new(entry + ENT_NEXT, &head.to_le_bytes());
                         head = entry;
                     }
@@ -1092,137 +1095,33 @@ impl PersistentHashtable {
                     self.stripes[sid].live.fetch_add(*d, Ordering::Relaxed);
                 }
             }
-            let refs: Vec<ValueRef> = reqs
-                .iter()
-                .zip(&entries)
-                .map(|(&(key, val_len), &entry)| ValueRef {
-                    offset: entry + ENT_KEY + key.len() as u64,
+            let mut refs = Vec::with_capacity(reqs.len());
+            for (i, &(key, val_len)) in reqs.iter().enumerate() {
+                let vref = ValueRef {
+                    offset: entries[i] + ENT_KEY + key.len() as u64,
                     len: val_len,
-                })
-                .collect();
-            for (i, &(key, _)) in reqs.iter().enumerate() {
-                self.shadow_store(&self.stripes[routes[i].sid], key, refs[i]);
+                };
+                self.shadow_store(&self.stripes[routes[i].sid], key, vref);
+                refs.push(vref);
             }
             return Ok(refs);
         }
     }
 
-    fn insert_impl(
-        &self,
-        clock: &Clock,
-        key: &[u8],
-        val_len: u64,
-        value: Option<&[u8]>,
-    ) -> Result<ValueRef> {
-        assert!(val_len <= u32::MAX as u64, "values are capped at 4 GiB");
-        let hash = fnv1a(key);
-        self.maybe_resize(clock)?;
-        // Charges happen under the stripe lock: the deterministic scheduler
-        // must not park this thread while it holds the stripe.
-        let _atomic = pmem_sim::atomic_section();
-        let machine = self.pool.device().machine();
-        loop {
-            let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            // Holding the stripe pins the route (migration locks it too).
-            if self.geo().route(hash) != r {
-                machine.metric_counter_add("ht.route.retries", 1);
-                continue;
-            }
-            let stripe = &self.stripes[r.sid];
-            let _epoch = EpochWriteGuard::enter(vec![stripe]);
-            self.shadow_invalidate(stripe, key);
-            let existing = self.find(clock, r.head_slot, key, hash);
-            let head_slot = r.head_slot;
-            let entry_size = ENT_KEY + key.len() as u64 + val_len;
-            let is_new = existing.is_none();
-            if is_new {
-                self.ensure_dirty(clock);
-            }
-
-            let value_off = self.pool.tx(clock, |tx| {
-                let entry = tx.alloc(entry_size)?;
-                // Fresh allocation: write fields without undo images.
-                tx.write_new(entry + ENT_HASH, &hash.to_le_bytes());
-                tx.write_new(entry + ENT_KLEN, &(key.len() as u32).to_le_bytes());
-                tx.write_new(entry + ENT_VLEN, &(val_len as u32).to_le_bytes());
-                tx.write_new(entry + ENT_KEY, key);
-                if let Some(v) = value {
-                    // Fully-atomic path: value bytes land before the commit point.
-                    tx.write_new(entry + ENT_KEY + key.len() as u64, v);
-                }
-                let old_head = self.pool.read_u64(clock, head_slot);
-                tx.write_new(entry + ENT_NEXT, &old_head.to_le_bytes());
-                // Linking the head is the visible commit point.
-                tx.set(head_slot, &entry.to_le_bytes())?;
-                if let Some((pred_slot, old_entry, old_hdr)) = existing {
-                    // Unlink + free the replaced entry in the same transaction.
-                    // The predecessor slot may be the old head we just rewrote;
-                    // re-read through the new chain.
-                    let pred_slot = if pred_slot == head_slot {
-                        entry + ENT_NEXT
-                    } else {
-                        pred_slot
-                    };
-                    tx.set(pred_slot, &old_hdr.next.to_le_bytes())?;
-                    tx.free(old_entry)?;
-                }
-                Ok(entry + ENT_KEY + key.len() as u64)
-            })?;
-            if is_new {
-                stripe.live.fetch_add(1, Ordering::Relaxed);
-            }
-            let vref = ValueRef {
-                offset: value_off,
-                len: val_len,
-            };
-            self.shadow_store(stripe, key, vref);
-            return Ok(vref);
-        }
-    }
-
-    /// Insert (or replace) `key → value` atomically: on a crash at any point
-    /// the table holds either the complete old mapping or the complete new
-    /// one.
-    pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
-        self.insert_impl(clock, key, value.len() as u64, Some(value))
-    }
-
-    /// Locate `key`'s value without copying it. Lock-free: probes the
-    /// shadow index, then walks the chain under the stripe's seqlock
-    /// without ever taking the stripe mutex (writers bump the epoch;
-    /// readers validate and retry, re-routing if a migration moved the
-    /// bucket mid-walk).
+    /// Locate `key`'s value without copying it. Lock-free: a lookup batch
+    /// of one (shadow probe, then a validated seqlock walk). Unlike
+    /// [`PersistentHashtable::get_ref_many`] it never helps a split along,
+    /// so single-key probes leave the persisted split cursor untouched.
     pub fn get_ref(&self, clock: &Clock, key: &[u8]) -> Option<ValueRef> {
-        let hash = fnv1a(key);
-        let mut out = [None];
-        let mut passes = 0u32;
-        loop {
-            passes += 1;
-            if passes > MAX_ROUTE_PASSES {
-                let _atomic = pmem_sim::atomic_section();
-                return self.get_ref_locked(clock, key, hash);
-            }
-            let r = self.geo().route(hash);
-            let stale = self.get_group(clock, &[key], &[hash], r, &[0], &mut out);
-            if stale.is_empty() {
-                return out[0];
-            }
-        }
+        self.lookup_many(clock, &[key])[0]
     }
 
     /// Batched lookup: resolve every key with one chain walk per touched
-    /// bucket. Keys are grouped by (stripe, head slot) in sorted order — the
-    /// same deterministic grouping the write batches use for stripe
-    /// acquisition — so keys sharing a bucket share its head/header reads.
-    /// Keys whose bucket migrates mid-walk come back as stale and re-route
-    /// on the next pass. Results are positionally parallel to `keys`.
+    /// bucket. Lookups help an in-flight split along first (every batched
+    /// operation migrates a chunk); a lookup must not fail, so split
+    /// errors defer rather than propagate. Results are positionally
+    /// parallel to `keys`.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
-        let mut out = vec![None; keys.len()];
-        let hashes: Vec<u64> = keys.iter().map(|k| fnv1a(k)).collect();
-        // Lookups help an in-flight split along too (the tentpole contract:
-        // every operation migrates a chunk). A lookup must not fail, so
-        // split errors defer rather than propagate.
         if self.auto_resize.load(Ordering::Relaxed)
             && self.splitting()
             && self.help_migrate(clock).is_err()
@@ -1232,58 +1131,40 @@ impl PersistentHashtable {
                 .machine()
                 .metric_counter_add("ht.split.deferred", 1);
         }
+        self.lookup_many(clock, keys)
+    }
+
+    /// The one lookup path. Keys are grouped by (stripe, head slot) in
+    /// sorted order — the same deterministic grouping the write batches use
+    /// for stripe acquisition — so keys sharing a bucket share its
+    /// head/header reads. Keys whose bucket migrates mid-walk come back as
+    /// stale and re-route on the next pass; after `MAX_ROUTE_PASSES` the
+    /// rest resolve under their stripe locks.
+    fn lookup_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
+        let mut out = vec![None; keys.len()];
+        let hashes: Vec<u64> = keys.iter().map(|k| fnv1a(k)).collect();
         let mut pending: Vec<usize> = (0..keys.len()).collect();
-        let mut passes = 0u32;
-        while !pending.is_empty() {
-            passes += 1;
-            if passes > MAX_ROUTE_PASSES {
-                let _atomic = pmem_sim::atomic_section();
-                for &i in &pending {
-                    out[i] = self.get_ref_locked(clock, keys[i], hashes[i]);
-                }
-                break;
+        for _ in 0..MAX_ROUTE_PASSES {
+            if pending.is_empty() {
+                return out;
             }
             let g = self.geo();
             pending.sort_by_key(|&i| {
                 let r = g.route(hashes[i]);
                 (r.sid, r.head_slot, i)
             });
+            let slot = |i: usize| g.route(hashes[i]).head_slot;
             let mut next_pending = Vec::new();
-            let mut a = 0;
-            while a < pending.len() {
-                let r = g.route(hashes[pending[a]]);
-                let mut b = a + 1;
-                while b < pending.len() && g.route(hashes[pending[b]]).head_slot == r.head_slot {
-                    b += 1;
-                }
-                next_pending.extend(self.get_group(
-                    clock,
-                    keys,
-                    &hashes,
-                    r,
-                    &pending[a..b],
-                    &mut out,
-                ));
-                a = b;
+            for group in pending.chunk_by(|&a, &b| slot(a) == slot(b)) {
+                let r = g.route(hashes[group[0]]);
+                next_pending.extend(self.get_group(clock, keys, &hashes, r, group, &mut out));
             }
             pending = next_pending;
         }
-        out
-    }
-
-    /// Locked single-key resolution (starvation fallback). Caller holds an
-    /// atomic section.
-    fn get_ref_locked(&self, clock: &Clock, key: &[u8], hash: u64) -> Option<ValueRef> {
-        loop {
-            let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            if self.geo().route(hash) != r {
-                continue;
-            }
-            return self
-                .find(clock, r.head_slot, key, hash)
-                .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
+        for &i in &pending {
+            out[i] = self.locked(hashes[i], |r| self.find_ref(clock, r, keys[i], hashes[i]));
         }
+        out
     }
 
     /// Resolve one route's worth of keys: shadow probes first, then a
@@ -1350,40 +1231,37 @@ impl PersistentHashtable {
                     }
                 }
             }
-            // Torn or raced: charge a deterministic retry penalty and walk
-            // again. Under SchedMode::Deterministic writers splice inside
-            // atomic sections, so any retry pattern is itself reproducible.
-            machine.charge_compute_labeled(
-                clock,
-                SimTime::from_nanos(SEQLOCK_RETRY_NS),
-                "seqlock.retry",
-            );
-            machine.metric_counter_add("ht.seqlock.retries", 1);
-            retries += 1;
-            if retries >= SEQLOCK_MAX_RETRIES {
+            if self.seqlock_retry(clock, &mut retries) {
                 // A busy writer must not starve readers: fall back to the
-                // mutex and walk a quiescent chain. Keys whose bucket moved
-                // re-route like in the lock-free path.
-                let _atomic = pmem_sim::atomic_section();
-                let _guard = self.lock_stripe(route.sid);
-                let g = self.geo();
-                let mut diverged = Vec::new();
+                // mutex and walk a quiescent chain, each key at its current
+                // route.
                 for &i in &pending {
-                    if g.route(hashes[i]) == route {
-                        out[i] = self
-                            .find(clock, route.head_slot, keys[i], hashes[i])
-                            .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
-                    } else {
-                        diverged.push(i);
-                    }
+                    out[i] =
+                        self.locked(hashes[i], |r| self.find_ref(clock, r, keys[i], hashes[i]));
                 }
-                break diverged;
+                break Vec::new();
             }
         };
         if pool_reads > 0 {
             machine.metric_counter_add("get.lookup.pool_reads", pool_reads);
         }
         stale
+    }
+
+    /// Torn or raced: charge a deterministic retry penalty before walking
+    /// again (under SchedMode::Deterministic writers splice inside atomic
+    /// sections, so any retry pattern is itself reproducible). Returns
+    /// whether the reader has retried enough to fall back to the lock.
+    fn seqlock_retry(&self, clock: &Clock, retries: &mut u32) -> bool {
+        let machine = self.pool.device().machine();
+        machine.charge_compute_labeled(
+            clock,
+            SimTime::from_nanos(SEQLOCK_RETRY_NS),
+            "seqlock.retry",
+        );
+        machine.metric_counter_add("ht.seqlock.retries", 1);
+        *retries += 1;
+        *retries >= SEQLOCK_MAX_RETRIES
     }
 
     /// One unlocked chain walk resolving a whole bucket group in a single
@@ -1463,48 +1341,26 @@ impl PersistentHashtable {
     /// revalidated with the epoch so a migration mid-copy retries too.
     pub fn get(&self, clock: &Clock, key: &[u8]) -> Option<Vec<u8>> {
         let hash = fnv1a(key);
-        let machine = self.pool.device().machine();
+        let copy = |vref: ValueRef| {
+            let mut buf = vec![0u8; vref.len as usize];
+            self.pool.read_bytes(clock, vref.offset, &mut buf);
+            buf
+        };
         let mut retries = 0u32;
         loop {
             let r = self.geo().route(hash);
             let stripe = &self.stripes[r.sid];
             let e1 = stripe.epoch.load(Ordering::Acquire);
             if e1 & 1 == 0 {
-                let copied = self.get_ref(clock, key).map(|vref| {
-                    let mut buf = vec![0u8; vref.len as usize];
-                    self.pool.read_bytes(clock, vref.offset, &mut buf);
-                    buf
-                });
+                let copied = self.get_ref(clock, key).map(copy);
                 if stripe.epoch.load(Ordering::Acquire) == e1 && self.geo().route(hash) == r {
                     return copied;
                 }
             }
-            machine.charge_compute_labeled(
-                clock,
-                SimTime::from_nanos(SEQLOCK_RETRY_NS),
-                "seqlock.retry",
-            );
-            machine.metric_counter_add("ht.seqlock.retries", 1);
-            retries += 1;
-            if retries >= SEQLOCK_MAX_RETRIES {
+            if self.seqlock_retry(clock, &mut retries) {
                 // A busy writer must not starve readers: fall back to the
                 // mutex and copy from a quiescent chain.
-                let _atomic = pmem_sim::atomic_section();
-                loop {
-                    let r = self.geo().route(hash);
-                    let _guard = self.lock_stripe(r.sid);
-                    if self.geo().route(hash) != r {
-                        continue;
-                    }
-                    return self
-                        .find(clock, r.head_slot, key, hash)
-                        .map(|(_, entry, hdr)| {
-                            let vref = value_ref_of(entry, &hdr);
-                            let mut buf = vec![0u8; vref.len as usize];
-                            self.pool.read_bytes(clock, vref.offset, &mut buf);
-                            buf
-                        });
-                }
+                return self.locked(hash, |r| self.find_ref(clock, r, key, hash).map(copy));
             }
         }
     }
@@ -1517,15 +1373,7 @@ impl PersistentHashtable {
     pub fn remove(&self, clock: &Clock, key: &[u8]) -> Result<bool> {
         let hash = fnv1a(key);
         self.maybe_resize(clock)?;
-        let _atomic = pmem_sim::atomic_section();
-        let machine = self.pool.device().machine();
-        loop {
-            let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            if self.geo().route(hash) != r {
-                machine.metric_counter_add("ht.route.retries", 1);
-                continue;
-            }
+        self.locked(hash, |r| {
             let stripe = &self.stripes[r.sid];
             let _epoch = EpochWriteGuard::enter(vec![stripe]);
             self.shadow_invalidate(stripe, key);
@@ -1539,8 +1387,8 @@ impl PersistentHashtable {
                 Ok(())
             })?;
             stripe.live.fetch_sub(1, Ordering::Relaxed);
-            return Ok(true);
-        }
+            Ok(true)
+        })
     }
 
     /// All keys, in unspecified order. Not synchronized with writers.
@@ -1610,6 +1458,14 @@ mod tests {
         let pool = PmemPool::open(clock, dev, "ht").unwrap();
         let ht = PersistentHashtable::open(clock, &pool, header).unwrap();
         (ht, pool)
+    }
+
+    /// `table` with a metrics registry installed on its machine.
+    fn metered_table(buckets: u64) -> (PersistentHashtable, Arc<MetricsRegistry>, Clock) {
+        let (ht, pool, clock) = table(1 << 22, buckets);
+        let registry = MetricsRegistry::new();
+        pool.device().machine().set_metrics(Arc::clone(&registry));
+        (ht, registry, clock)
     }
 
     #[test]
@@ -1820,7 +1676,7 @@ mod tests {
     #[test]
     fn put_reserve_allows_direct_value_writes() {
         let (ht, pool, clock) = table(1 << 22, 16);
-        let vref = ht.put_reserve(&clock, b"array", 8).unwrap();
+        let vref = ht.put_reserve_many(&clock, &[(b"array", 8)]).unwrap()[0];
         pool.write_bytes(&clock, vref.offset, &42u64.to_le_bytes());
         let got = ht.get(&clock, b"array").unwrap();
         assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 42);
@@ -1870,6 +1726,85 @@ mod tests {
         assert_eq!(ht.get(&clock, b"d").unwrap(), b"new-d");
         assert_eq!(ht.get(&clock, b"keep").unwrap(), b"kept");
         pool.check_heap().unwrap(); // replaced entries were freed
+    }
+
+    #[test]
+    fn oversized_value_is_a_typed_error_not_a_panic() {
+        let (ht, pool, clock) = table(1 << 22, 8);
+        ht.put(&clock, b"before", b"v").unwrap();
+        let allocated = pool.allocated_bytes();
+        let err = ht
+            .put_reserve_many(&clock, &[(b"k", u32::MAX as u64 + 1)])
+            .unwrap_err();
+        assert!(matches!(err, PmdkError::TxFailure(_)), "got {err:?}");
+        assert_eq!(ht.len(&clock), 1);
+        assert_eq!(pool.allocated_bytes(), allocated, "nothing allocated");
+        pool.check_heap().unwrap();
+        // Nothing was left locked or half-written: the table keeps working.
+        ht.put(&clock, b"k", b"fits").unwrap();
+        assert_eq!(ht.get(&clock, b"k").unwrap(), b"fits");
+        assert_eq!(ht.len(&clock), 2);
+    }
+
+    #[test]
+    fn put_matches_reserve_plus_caller_write() {
+        // The same sequence — fresh keys, then a replace of an entry in the
+        // middle of a shared chain — through `put` and through
+        // `put_reserve_many` plus a caller value write.
+        let ops: [(&[u8], &[u8]); 5] = [
+            (b"a", b"one"),
+            (b"b", b"two"),
+            (b"c", b"three"),
+            (b"b", b"replaced-two"),
+            (b"d", b"four"),
+        ];
+        let contents = |reserve: bool| {
+            let (ht, pool, clock) = table(1 << 22, 1); // one shared chain
+            ht.set_auto_resize(false);
+            for &(k, v) in &ops {
+                if reserve {
+                    let vref = ht.put_reserve_many(&clock, &[(k, v.len() as u64)]).unwrap()[0];
+                    pool.write_bytes(&clock, vref.offset, v);
+                } else {
+                    ht.put(&clock, k, v).unwrap();
+                }
+            }
+            pool.check_heap().unwrap();
+            let mut keys = ht.keys(&clock);
+            keys.sort();
+            keys.into_iter()
+                .map(|k| (ht.get(&clock, &k), k))
+                .collect::<Vec<_>>()
+        };
+        let via_put = contents(false);
+        assert_eq!(via_put.len(), 4);
+        assert_eq!(via_put[1], (Some(b"replaced-two".to_vec()), b"b".to_vec()));
+        assert_eq!(via_put, contents(true));
+    }
+
+    #[test]
+    fn single_key_lookups_do_not_help_a_split_but_batches_do() {
+        let (ht, pool, clock) = table(1 << 23, 64);
+        let mut total = 0u32;
+        while !ht.splitting() {
+            ht.put(&clock, format!("k{total}").as_bytes(), &total.to_le_bytes())
+                .unwrap();
+            total += 1;
+        }
+        let cursor = || pool.read_u64(&clock, ht.header_offset() + HDR_CURSOR);
+        let before = cursor();
+        for i in 0..total {
+            let k = format!("k{i}");
+            assert!(ht.contains(&clock, k.as_bytes()));
+            assert!(ht.get_ref(&clock, k.as_bytes()).is_some());
+        }
+        assert_eq!(cursor(), before, "single-key lookups must not migrate");
+        assert!(ht.splitting());
+        ht.get_ref_many(&clock, &[b"k0"]);
+        assert!(
+            !ht.splitting() || cursor() > before,
+            "a batched lookup migrates a chunk"
+        );
     }
 
     #[test]
@@ -2094,12 +2029,7 @@ mod tests {
 
     #[test]
     fn shadow_index_hits_skip_pool_reads_and_invalidate_on_mutation() {
-        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
-        let registry = MetricsRegistry::new();
-        dev.machine().set_metrics(Arc::clone(&registry));
-        let clock = Clock::new();
-        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
-        let ht = PersistentHashtable::create(&clock, &pool, 16).unwrap();
+        let (ht, registry, clock) = metered_table(16);
         ht.put(&clock, b"cached", b"value-1").unwrap();
         // put's write-through makes the very first get a shadow hit.
         let before = registry.snapshot();
@@ -2128,12 +2058,7 @@ mod tests {
 
     #[test]
     fn single_pass_walk_charges_at_most_three_reads_per_key() {
-        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
-        let registry = MetricsRegistry::new();
-        dev.machine().set_metrics(Arc::clone(&registry));
-        let clock = Clock::new();
-        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
-        let ht = PersistentHashtable::create(&clock, &pool, 4096).unwrap();
+        let (ht, registry, clock) = metered_table(4096);
         for i in 0..32u32 {
             ht.put(&clock, format!("var{i}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -2155,12 +2080,7 @@ mod tests {
 
     #[test]
     fn chain_len_histogram_records_probe_depths() {
-        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
-        let registry = MetricsRegistry::new();
-        dev.machine().set_metrics(Arc::clone(&registry));
-        let clock = Clock::new();
-        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
-        let ht = PersistentHashtable::create(&clock, &pool, 1).unwrap();
+        let (ht, registry, clock) = metered_table(1);
         ht.set_auto_resize(false);
         ht.set_shadow_enabled(false);
         for i in 0..4u32 {
@@ -2175,25 +2095,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_shadow_warms_the_cache_from_the_persistent_table() {
-        let (ht, pool, clock) = table(1 << 22, 16);
-        for i in 0..8u32 {
-            ht.put(&clock, format!("k{i}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
-        }
-        let (ht, _pool) = reopen(ht, pool, &clock);
-        assert_eq!(ht.shadow_len(), 0, "reopened tables start cold");
-        assert_eq!(ht.rebuild_shadow(&clock), 8);
-        assert_eq!(ht.shadow_len(), 8);
-        for i in 0..8u32 {
-            assert_eq!(
-                ht.get(&clock, format!("k{i}").as_bytes()).unwrap(),
-                i.to_le_bytes()
-            );
-        }
-    }
-
-    #[test]
     fn shadow_can_be_disabled() {
         let (ht, _pool, clock) = table(1 << 22, 16);
         ht.put(&clock, b"k", b"v").unwrap();
@@ -2202,7 +2103,6 @@ mod tests {
         assert_eq!(ht.shadow_len(), 0);
         assert_eq!(ht.get(&clock, b"k").unwrap(), b"v"); // chain walk still works
         assert_eq!(ht.shadow_len(), 0, "disabled cache must not repopulate");
-        assert_eq!(ht.rebuild_shadow(&clock), 0);
     }
 
     #[test]

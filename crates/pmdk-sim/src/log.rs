@@ -116,8 +116,8 @@ impl PersistentLog {
     }
 
     /// Append a record. Fails with `OutOfMemory` when the ring is full
-    /// (callers trim with [`PersistentLog::pop`] — the DStore pattern where
-    /// the DRAM store periodically truncates the log).
+    /// (callers trim with [`PersistentLog::truncate_front`] — the DStore
+    /// pattern where the DRAM store periodically truncates the log).
     pub fn append(&self, clock: &Clock, record: &[u8]) -> Result<()> {
         assert!(!record.is_empty(), "empty records are not representable");
         let need = REC_HDR + record.len() as u64;
@@ -183,29 +183,6 @@ impl PersistentLog {
         Ok(())
     }
 
-    /// Pop the oldest record (trim), returning it; `None` when empty.
-    pub fn pop(&self, clock: &Clock) -> Result<Option<Vec<u8>>> {
-        let _atomic = pmem_sim::atomic_section();
-        let _g = self.append_lock.lock();
-        let mut head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        if head == tail {
-            return Ok(None);
-        }
-        let (rec, len) = self.record_at(clock, &mut head, tail)?;
-        let Some(rec) = rec else { return Ok(None) };
-        let mut body = vec![0u8; len as usize];
-        self.read_body(clock, rec + REC_HDR, &mut body);
-        // Verify integrity before committing the head advance.
-        let stored_crc = self.pool.read_u32(clock, rec + 4);
-        if crc32(&body) != stored_crc {
-            return Err(PmdkError::BadPool("log record CRC mismatch".into()));
-        }
-        self.pool
-            .write_u64(clock, self.header + HDR_HEAD, head + REC_HDR + len);
-        Ok(Some(body))
-    }
-
     /// Record bodies are data-plane traffic — the application payloads the
     /// log carries — so they charge byte-scaled PMEM bandwidth like any
     /// other data movement. Only the 8-byte record headers and the ring
@@ -220,28 +197,30 @@ impl PersistentLog {
         self.pool.device().read(clock, off as usize, body);
     }
 
-    /// Resolve the record at `*head`, skipping a WRAP marker (updates head).
-    fn record_at(&self, clock: &Clock, head: &mut u64, tail: u64) -> Result<(Option<u64>, u64)> {
+    /// Resolve the record at `*head` to `(record offset, body length)`,
+    /// skipping a WRAP marker (updates head); `None` when the wrap reaches
+    /// the tail.
+    fn record_at(&self, clock: &Clock, head: &mut u64, tail: u64) -> Result<Option<(u64, u64)>> {
         if self.capacity - *head >= REC_HDR {
             let len = self.pool.read_u32(clock, self.ring + *head);
             if len == WRAP {
                 *head = 0;
             } else {
                 self.check_len(*head, len)?;
-                return Ok((Some(self.ring + *head), len as u64));
+                return Ok(Some((self.ring + *head, len as u64)));
             }
         } else {
             *head = 0;
         }
         if *head == tail {
-            return Ok((None, 0));
+            return Ok(None);
         }
         let len = self.pool.read_u32(clock, self.ring + *head);
         if len == WRAP {
             return Err(PmdkError::BadPool("double wrap marker".into()));
         }
         self.check_len(*head, len)?;
-        Ok((Some(self.ring + *head), len as u64))
+        Ok(Some((self.ring + *head, len as u64)))
     }
 
     /// Reject lengths that would walk past the ring (torn/corrupt headers).
@@ -255,8 +234,8 @@ impl PersistentLog {
     }
 
     /// Drop the `n` oldest records in one step — the checkpoint watermark
-    /// advance. Unlike repeated [`PersistentLog::pop`] there is exactly one
-    /// persisted head write, *after* every record to drop has been walked:
+    /// advance. There is exactly one persisted head write, *after* every
+    /// record to drop has been walked:
     /// a crash anywhere before that commit leaves the head untouched, so a
     /// re-drain simply replays the same (idempotently applied) records.
     /// Returns how many records were actually dropped (≤ `n` if the log ran
@@ -268,10 +247,9 @@ impl PersistentLog {
         let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
         let mut dropped = 0usize;
         while dropped < n && cursor != tail {
-            let (rec, len) = self.record_at(clock, &mut cursor, tail)?;
-            if rec.is_none() {
+            let Some((_, len)) = self.record_at(clock, &mut cursor, tail)? else {
                 break;
-            }
+            };
             cursor += REC_HDR + len;
             dropped += 1;
         }
@@ -287,24 +265,6 @@ impl PersistentLog {
         Ok(dropped)
     }
 
-    /// Number of committed records (walks the ring; tests and diagnostics).
-    pub fn record_count(&self, clock: &Clock) -> Result<usize> {
-        let _atomic = pmem_sim::atomic_section();
-        let _g = self.append_lock.lock();
-        let mut head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        let mut count = 0usize;
-        while head != tail {
-            let (rec, len) = self.record_at(clock, &mut head, tail)?;
-            if rec.is_none() {
-                break;
-            }
-            head += REC_HDR + len;
-            count += 1;
-        }
-        Ok(count)
-    }
-
     /// Replay every committed record oldest-first (recovery / apply path).
     pub fn replay(&self, clock: &Clock) -> Result<Vec<Vec<u8>>> {
         let _atomic = pmem_sim::atomic_section();
@@ -313,8 +273,9 @@ impl PersistentLog {
         let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
         let mut out = vec![];
         while head != tail {
-            let (rec, len) = self.record_at(clock, &mut head, tail)?;
-            let Some(rec) = rec else { break };
+            let Some((rec, len)) = self.record_at(clock, &mut head, tail)? else {
+                break;
+            };
             let mut body = vec![0u8; len as usize];
             self.read_body(clock, rec + REC_HDR, &mut body);
             let stored_crc = self.pool.read_u32(clock, rec + 4);
@@ -341,6 +302,16 @@ mod tests {
         (log, pool, clock)
     }
 
+    /// Trim the oldest record and return it (`None` when empty): a replay
+    /// (CRC-checked) plus a one-record truncation.
+    fn pop(log: &PersistentLog, clock: &Clock) -> Result<Option<Vec<u8>>> {
+        let front = log.replay(clock)?.into_iter().next();
+        if front.is_some() {
+            log.truncate_front(clock, 1)?;
+        }
+        Ok(front)
+    }
+
     #[test]
     fn append_replay_pop_fifo() {
         let (log, _pool, clock) = fixture(1024);
@@ -351,8 +322,8 @@ mod tests {
             log.replay(&clock).unwrap(),
             vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]
         );
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b"first");
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b"second");
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), b"first");
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), b"second");
         assert_eq!(log.replay(&clock).unwrap(), vec![b"third".to_vec()]);
     }
 
@@ -368,7 +339,7 @@ mod tests {
             }
             // Trim two records.
             for _ in 0..2 {
-                let got = log.pop(&clock).unwrap().unwrap();
+                let got = pop(&log, &clock).unwrap().unwrap();
                 assert_eq!(got, expect_front.to_le_bytes());
                 expect_front += 1;
             }
@@ -395,8 +366,8 @@ mod tests {
         // Trimming frees space again. Two pops: exact fill means the ring
         // was truly full, and reusing a single record's space would land
         // the new tail exactly on head — the reserved "empty" encoding.
-        log.pop(&clock).unwrap().unwrap();
-        log.pop(&clock).unwrap().unwrap();
+        pop(&log, &clock).unwrap().unwrap();
+        pop(&log, &clock).unwrap().unwrap();
         log.append(&clock, &[9u8; 8]).unwrap();
     }
 
@@ -449,7 +420,7 @@ mod tests {
         let mut b = [0u8; 1];
         pool.read_bytes(&clock, ring + REC_HDR, &mut b);
         pool.write_bytes(&clock, ring + REC_HDR, &[b[0] ^ 0xFF]);
-        assert!(matches!(log.pop(&clock), Err(PmdkError::BadPool(_))));
+        assert!(matches!(pop(&log, &clock), Err(PmdkError::BadPool(_))));
     }
 
     /// Regression: an append exactly filling the remaining capacity used to
@@ -468,15 +439,15 @@ mod tests {
             Err(PmdkError::OutOfMemory { .. })
         ));
         assert_eq!(log.replay(&clock).unwrap(), vec![a.clone(), b.clone()]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), a);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b);
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), a);
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), b);
         // head==tail==capacity: empty, and the next append wraps cleanly.
         assert_eq!(log.used(&clock), 0);
         let c = vec![3u8; 8];
         log.append(&clock, &c).unwrap();
         assert_eq!(log.replay(&clock).unwrap(), vec![c.clone()]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), c);
-        assert!(log.pop(&clock).unwrap().is_none());
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), c);
+        assert!(pop(&log, &clock).unwrap().is_none());
     }
 
     /// Regression: pop/replay interleaving right after an exact-fill wrap
@@ -486,16 +457,16 @@ mod tests {
         let (log, _pool, clock) = fixture(128);
         log.append(&clock, &[1u8; 56]).unwrap();
         log.append(&clock, &[2u8; 56]).unwrap(); // tail == capacity
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![1u8; 56]);
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), vec![1u8; 56]);
         // Wrapped append into the space the pop released.
         log.append(&clock, &[3u8; 40]).unwrap();
         assert_eq!(
             log.replay(&clock).unwrap(),
             vec![vec![2u8; 56], vec![3u8; 40]]
         );
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![2u8; 56]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![3u8; 40]);
-        assert!(log.pop(&clock).unwrap().is_none());
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), vec![2u8; 56]);
+        assert_eq!(pop(&log, &clock).unwrap().unwrap(), vec![3u8; 40]);
+        assert!(pop(&log, &clock).unwrap().is_none());
     }
 
     #[test]
@@ -511,7 +482,7 @@ mod tests {
         );
         // Over-asking drains what is there and reports the true count.
         assert_eq!(log.truncate_front(&clock, 10).unwrap(), 2);
-        assert_eq!(log.record_count(&clock).unwrap(), 0);
+        assert_eq!(log.replay(&clock).unwrap().len(), 0);
     }
 
     #[test]
@@ -582,7 +553,7 @@ mod tests {
                             Err(e) => panic!("append: {e}"),
                         }
                     }
-                    5..=6 => assert_eq!(log.pop(&clock).unwrap(), model.pop_front()),
+                    5..=6 => assert_eq!(pop(&log, &clock).unwrap(), model.pop_front()),
                     7 => {
                         let n = (next_rand() % 3) as usize;
                         let dropped = log.truncate_front(&clock, n).unwrap();
@@ -597,7 +568,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(log.record_count(&clock).unwrap(), model.len());
+            assert_eq!(log.replay(&clock).unwrap().len(), model.len());
         }
     }
 }

@@ -24,10 +24,6 @@ impl FailPoints {
         self.armed.lock().insert(site, nth);
     }
 
-    pub fn disarm(&self, site: &'static str) {
-        self.armed.lock().remove(site);
-    }
-
     /// Check a site; returns `Err(Injected)` when the countdown expires.
     pub fn check(&self, site: &'static str) -> Result<()> {
         let mut map = self.armed.lock();
@@ -308,12 +304,7 @@ impl PmemPool {
     /// Allocate `size` persistent bytes (non-transactional; the allocation
     /// is durable once this returns).
     pub fn alloc(&self, clock: &Clock, size: u64) -> Result<u64> {
-        let mut span = self.device.machine().span(clock, "pmdk", "pool.alloc");
-        span.set_arg("bytes", size);
-        // Heap metadata writes charge the clock under the heap lock; keep
-        // the deterministic scheduler from parking us while we hold it.
-        let _atomic = pmem_sim::atomic_section();
-        self.heap.lock().alloc(clock, size)
+        Ok(self.alloc_many(clock, &[size])?[0])
     }
 
     /// Allocate a group of payloads in one free-list pass (see
@@ -321,6 +312,8 @@ impl PmemPool {
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
         let mut span = self.device.machine().span(clock, "pmdk", "pool.alloc");
         span.set_arg("bytes", sizes.iter().sum());
+        // Heap metadata writes charge the clock under the heap lock; keep
+        // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
         self.heap.lock().alloc_many(clock, sizes)
     }

@@ -270,28 +270,7 @@ impl<'a> Tx<'a> {
 
     /// Transactionally allocate `size` bytes; rolled back if the tx aborts.
     pub fn alloc(&mut self, size: u64) -> Result<u64> {
-        self.pool.fail_check(self.clock, "tx::alloc")?;
-        if self.intents_used >= LANE_INTENTS {
-            return Err(PmdkError::TxFailure("intent table overflow".into()));
-        }
-        // Reserve the intent slot before allocating (crash-safe ordering):
-        // bump the count first, then fill the slot, so recovery never reads
-        // an unfilled slot as garbage — a zero entry is ignored.
-        let slot_off = self.lane_base + LANE_HEADER_SIZE + self.intents_used * 8;
-        self.pool
-            .write_bytes(self.clock, slot_off, &0u64.to_le_bytes());
-        self.intents_used += 1;
-        self.pool.write_u32(
-            self.clock,
-            self.lane_base + lane::INTENT_COUNT,
-            self.intents_used as u32,
-        );
-        let off = self.pool.alloc(self.clock, size)?;
-        debug_assert_eq!(off & 1, 0, "heap payloads are aligned");
-        self.pool
-            .write_bytes(self.clock, slot_off, &off.to_le_bytes());
-        self.pool.fail_check(self.clock, "tx::alloc-after")?;
-        Ok(off)
+        Ok(self.alloc_many(&[size])?[0])
     }
 
     /// Transactionally allocate a group of blocks in one free-list pass; all
@@ -306,9 +285,9 @@ impl<'a> Tx<'a> {
         if self.intents_used + n > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
-        // Same crash-safe ordering as `alloc`: reserve all slots (zeroed —
-        // recovery ignores zero entries), bump the count once, then allocate
-        // and fill the slots.
+        // Crash-safe ordering: reserve all slots (zeroed — recovery ignores
+        // zero entries) and bump the count once before allocating, so
+        // recovery never reads an unfilled slot as garbage; then fill them.
         let first_slot = self.lane_base + LANE_HEADER_SIZE + self.intents_used * 8;
         self.pool
             .write_bytes(self.clock, first_slot, &vec![0u8; (n * 8) as usize]);

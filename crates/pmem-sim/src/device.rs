@@ -50,10 +50,6 @@ impl PmemDevice {
         &self.machine
     }
 
-    pub fn is_tracked(&self) -> bool {
-        self.tracker.is_some()
-    }
-
     /// The persistence tracker (Tracked mode only), reached only after
     /// settling any owed scheduler yield: the dirty bitmap and the shadow
     /// are shared at cacheline granularity, so the order of tracker calls

@@ -431,18 +431,6 @@ impl Machine {
         clock.advance(self.cpu_scaled(per_page * n));
     }
 
-    /// Fault accounting for a freshly-touched byte range of a DAX mapping:
-    /// one fault per modelled page.
-    pub fn charge_page_faults_bytes(&self, clock: &Clock, real_bytes: u64, map_sync: bool) {
-        if real_bytes == 0 {
-            return;
-        }
-        let pages = self
-            .scaled_bytes(real_bytes)
-            .div_ceil(self.config.page_size);
-        self.charge_page_faults(clock, pages, map_sync);
-    }
-
     /// Flush a byte range of cachelines toward the persistence domain.
     /// Free (no time, no counter) on eADR profiles: the cache already sits
     /// inside the persistence domain, so no writeback is ever issued.

@@ -343,14 +343,6 @@ impl Clock {
         }
     }
 
-    pub fn starting_at(t: SimTime) -> Self {
-        Clock {
-            now: AtomicU64::new(t.0),
-            lane: 0,
-            gate: OnceLock::new(),
-        }
-    }
-
     /// Install a scheduler gate: `gate.charged(rank, now)` runs after every
     /// subsequent charge outside atomic sections (deferred inside private
     /// sections). At most one gate per clock; later calls are ignored.
